@@ -2,7 +2,8 @@
 
 Outputs are CSV (17 significant digits, lossless round-trip) and JSON
 with a fixed key order, so identical flags give byte-identical files;
-sweeps run concurrently but rows are emitted in parameter order.
+sweeps may run concurrently (--jobs) but rows are emitted in parameter
+order.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -67,20 +68,14 @@ def _load_config(path):
 
 
 def _scheme_config(args) -> SchemeConfig:
-    return SchemeConfig.from_id(
-        args.scheme,
-        cfl=args.cfl,
-        eps=args.eps,
-        gate=args.gate,
-    )
+    return SchemeConfig.from_id(args.scheme, cfl=args.cfl, gate=args.gate)
 
 
 def _apply_config_file(args):
     if not getattr(args, "config", None):
         return
     cfg = _load_config(args.config)
-    casts = dict(test=int, scheme=str, cells=int, cfl=float, eps=float,
-                 gate=str, until=str, out=str)
+    casts = dict(test=int, scheme=str, cells=int, cfl=float, gate=str, until=str, out=str)
     for k, v in cfg.items():
         if k not in casts:
             raise ValueError(f"unknown config key {k!r}")
@@ -89,8 +84,8 @@ def _apply_config_file(args):
             setattr(args, k, casts[k](v))
 
 
-_DEFAULTS = dict(test=None, scheme=None, cells=None, cfl=0.9, eps=1e-6,
-                 gate="dimensional", until=None, out=".")
+_DEFAULTS = dict(test=None, scheme=None, cells=None, cfl=0.9, gate="dimensional",
+                 until=None, out=".")
 
 
 def _spec_for(args, params):
@@ -161,7 +156,7 @@ def cmd_sweep(args) -> int:
 
     def one(job):
         v, scheme_id = job
-        cfg = SchemeConfig.from_id(scheme_id, cfl=args.cfl, eps=args.eps, gate=args.gate)
+        cfg = SchemeConfig.from_id(scheme_id, cfl=args.cfl, gate=args.gate)
         ns = argparse.Namespace(**{**vars(args), "scheme": scheme_id})
         try:
             spec = _spec_for(ns, {**fixed, name: v})
@@ -202,7 +197,7 @@ def cmd_convergence(args) -> int:
     with rows_path.open("w") as f:
         f.write("scheme,dH,dl,n_cells,l1_error,met_bound\n")
         for scheme_id in args.scheme:
-            cfg = SchemeConfig.from_id(scheme_id, cfl=args.cfl, eps=args.eps, gate=args.gate)
+            cfg = SchemeConfig.from_id(scheme_id, cfl=args.cfl, gate=args.gate)
             p = {**PARAM_DEFAULTS[6], **params}
             rows, cells = convergence_study(
                 lambda n: build_preset(6, n_cells=n, **params),
@@ -246,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--scheme", required=True, help="scheme id")
         sp.add_argument("--cells", type=int, default=None)
         sp.add_argument("--cfl", type=float, default=0.9)
-        sp.add_argument("--eps", type=float, default=1e-6)
         sp.add_argument("--gate", choices=("dimensional", "as-printed"), default="dimensional")
         sp.add_argument("--param", action="append", metavar="K=V", default=[])
         sp.add_argument("--until", default=None, help="steady | time=T")
@@ -260,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="one run per parameter value per scheme")
     common(sp, scheme_multi=True)
     sp.add_argument("--sweep", required=True, metavar="K=V1,V2,...")
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("convergence", help="mesh-ladder L1 study (test 6)")

@@ -27,7 +27,6 @@ __all__ = [
     "SWEError",
     "DryStateError",
     "DryInterfaceError",
-    "SonicInterfaceError",
     "NoAdmissibleRootError",
     "TranscriticalProfileError",
     "NearCriticalError",
@@ -59,10 +58,6 @@ class DryStateError(SWEError):
 
 class DryInterfaceError(SWEError):
     """Both sides of an interface are dry."""
-
-
-class SonicInterfaceError(SWEError):
-    """A linearized interface matrix is singular (an eigenvalue vanished)."""
 
 
 class NoAdmissibleRootError(SWEError):

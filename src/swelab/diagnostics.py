@@ -194,7 +194,7 @@ def convergence_study(spec_family: Callable[[int], SimSpec], cfg: SchemeConfig,
                       exact: Callable[[np.ndarray], np.ndarray], bound: float,
                       meshes: Sequence[int] = (100, 200, 400, 800, 1600, 3200),
                       c: PhysConstants | None = None,
-                      max_workers: int | None = None):
+                      max_workers: int = 1):
     """L1(h) error against an exact profile over a mesh ladder.
 
     Each mesh runs its SimSpec to its stop rule; the error is measured

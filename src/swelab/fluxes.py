@@ -170,33 +170,15 @@ def roe_average(w_l: PhysState, w_r: PhysState, c: PhysConstants) -> RoeData:
     return RoeData(u=u, c=cel)
 
 
-def roe_flux(w_l: PhysState, w_r: PhysState, c: PhysConstants, fix: bool = False):
-    """Roe flux 1/2 (F_l + F_r) - 1/2 |J| (w_r - w_l).
-
-    ``fix=True`` applies Harten's smoothing of small |lambda|; the
-    benchmark presets leave it off.
-    """
+def roe_flux(w_l: PhysState, w_r: PhysState, c: PhysConstants):
+    """Roe flux 1/2 (F_l + F_r) - 1/2 |J| (w_r - w_l)."""
     w_l, w_r, wet = _sanitize_pair(w_l, w_r, c)
     roe = roe_average(w_l, w_r, c)
     fl0, fl1 = physical_flux(w_l, c)
     fr0, fr1 = physical_flux(w_r, c)
     d0 = np.asarray(w_r.h, float) - np.asarray(w_l.h, float)
     d1 = np.asarray(w_r.q, float) - np.asarray(w_l.q, float)
-    if fix:
-        l1, l2 = roe.lam
-        delta = 0.1 * np.maximum(roe.c, 1e-12)
-        fixed = []
-        for lam in (l1, l2):
-            a = np.abs(lam)
-            fixed.append(np.where(a < delta, (lam * lam + delta * delta) / (2.0 * delta), a))
-        a, b = fixed
-        l1 = np.asarray(l1, float)
-        l2 = np.asarray(l2, float)
-        d = 2.0 * np.asarray(roe.c, float)
-        v0 = ((a * l2 - b * l1) * d0 + (b - a) * d1) / d
-        v1 = (l1 * l2 * (a - b) * d0 + (b * l2 - a * l1) * d1) / d
-    else:
-        v0, v1 = roe.apply_absJ(d0, d1)
+    v0, v1 = roe.apply_absJ(d0, d1)
     f0 = 0.5 * (fl0 + fr0) - 0.5 * v0
     f1 = 0.5 * (fl1 + fr1) - 0.5 * v1
     if wet is not None:

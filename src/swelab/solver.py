@@ -27,12 +27,7 @@ from swelab.core import (
 )
 from swelab.fluxes import FluxKind, ROE, omega_flux, roe_flux
 from swelab.hydrostatic import hr_interface_terms
-from swelab.sources import (
-    SonicRegularization,
-    omega_source_split,
-    resolved_split_form,
-    roe_source_split,
-)
+from swelab.sources import omega_source_split, resolved_split_form, roe_source_split
 
 __all__ = [
     "Grid",
@@ -106,11 +101,8 @@ class SchemeConfig:
     flux: FluxKind
     source: str  # 'upwind' | 'hr' | 'modified-hr'
     cfl: float = 0.9
-    eps: float = 1e-6
-    reg_mode: str = "star"  # sonic regularization of the omega splitting
     gate: str = "dimensional"
     h_dry: float = 1e-8
-    entropy_fix: bool = False
 
     def __post_init__(self):
         if self.source not in ("upwind", "hr", "modified-hr"):
@@ -308,13 +300,12 @@ def interface_terms(w_l: PhysState, w_r: PhysState, H_l, H_r, cfg: SchemeConfig,
     wet = (np.asarray(w_l.h, float) > c.h_dry) | (np.asarray(w_r.h, float) > c.h_dry)
     if cfg.source == "upwind":
         if cfg.flux.name == "roe":
-            F = roe_flux(w_l, w_r, c, fix=cfg.entropy_fix)
-            split = roe_source_split(W_l, W_r, c, on_sonic="clamp")
+            F = roe_flux(w_l, w_r, c)
+            split = roe_source_split(W_l, W_r, c)
         else:
             omega = cfg.flux.omega(cfg.cfl)
             F = omega_flux(w_l, w_r, omega, dx, dt, c)
-            reg = SonicRegularization(cfg.reg_mode, cfg.eps)
-            split = omega_source_split(W_l, W_r, omega, dx, dt, reg, c)
+            split = omega_source_split(W_l, W_r, omega, dx, dt, c)
     else:
         variant = "original" if cfg.source == "hr" else "modified"
         F, split, _ = hr_interface_terms(
@@ -465,8 +456,6 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants | None = None,
     meta.setdefault("scheme", cfg.scheme)
     meta.setdefault("n_cells", grid.n_cells)
     meta.setdefault("cfl", cfg.cfl)
-    meta.setdefault("eps", cfg.eps)
-    meta.setdefault("reg_mode", cfg.reg_mode)
     meta.setdefault("gate", cfg.gate)
     meta.setdefault("h_dry", cfg.h_dry)
     meta.setdefault("omega_split_form", resolved_split_form())

@@ -3,34 +3,35 @@
 The interface source g h dH/dx is split into a part S- applied to the
 left cell and S+ applied to the right cell. Two families are provided:
 the Roe projection splitting (characteristic upwinding) and the
-splitting that pairs with the omega centred fluxes, with its two sonic
-regularizations.
+splitting that pairs with the omega centred fluxes.
 
 Both families are path-conservative along straight segments: S+ + S-
 equals (0, g (h_l + h_r)/2 (H_r - H_l)), the exact straight-segment
 integral of the source, and both parts vanish when the two states
 coincide.
 
-The literature prints the omega splitting without a 1/2 on either term;
-that transcription fails the water-at-rest fixed-point check, while the
-same expression with a 1/2 on both the centred part and the upwinding
-part (mirroring the 1/2 in the flux) passes it exactly. The form is
-picked once by an assembled self-test, see ``resolved_split_form``.
+The literature prints the omega splitting without a 1/2 on either term.
+That transcription, exactly twice the splitting used here, fails the
+water-at-rest fixed-point check; the same expression with a 1/2 on both
+the centred part and the upwinding part (mirroring the 1/2 in the flux)
+passes it exactly. Through sonic points J^-1 is replaced by the inverse
+of the zero-velocity matrix J* = [[0, 1], [c^2, 0]], which is never
+singular. The printed regularized inverse (1/mu) [[0, 1], [c^2, 2u]]
+does not tend to J^-1 away from the sonic point and breaks water at
+rest too, so it is not offered.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from swelab.core import ExtState, PhysConstants, PhysState, SonicInterfaceError
-from swelab.fluxes import omega_flux, roe_average
+from swelab.core import ExtState, PhysConstants
+from swelab.fluxes import roe_average
 
 __all__ = [
     "SourceSplit",
-    "SonicRegularization",
     "lambda_floor",
     "roe_source_split",
     "omega_source_split",
@@ -51,55 +52,22 @@ class SourceSplit:
     plus: tuple
 
 
-@dataclass(frozen=True)
-class SonicRegularization:
-    """How the omega splitting evaluates J^-1 through sonic points.
-
-    ``star``: J^-1 is replaced by the inverse of the zero-velocity
-    matrix J* = [[0, 1], [c^2, 0]], whose closed form gives
-    (J*)^-1 (0, c^2 dH) = (dH, 0). Never singular; this is the default.
-
-    ``mu``: the printed regularized inverse (1/mu) [[0, 1], [c^2, 2u]]
-    with mu = max(eps, |1 - Fr^2|) sgn(1 - Fr^2). Reproduced exactly as
-    published; note it does not tend to J^-1 away from the sonic point
-    and it breaks the water-at-rest fixed point, so it is surfaced as
-    an opt-in.
-    """
-
-    mode: str = "star"
-    eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.mode not in ("star", "mu"):
-            raise ValueError(f"unknown regularization mode {self.mode!r}")
-        if self.mode == "mu" and not self.eps > 0:
-            raise ValueError("eps must be positive")
-
-
 def lambda_floor(u, c):
     """Scale-relative threshold below which an eigenvalue counts as zero."""
     return 1e-8 * np.maximum(1.0, np.abs(u) + c)
 
 
-def roe_source_split(W_l: ExtState, W_r: ExtState, c: PhysConstants,
-                     on_sonic: str = "error") -> SourceSplit:
+def roe_source_split(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> SourceSplit:
     """Characteristic splitting S+- = 1/2 (Id +- |J| J^-1) (0, c^2) dH.
 
     The projection sends the whole source downstream when the flow is
     supersonic and splits it across both cells otherwise. At a sonic
-    interface J is singular; ``on_sonic='error'`` raises, 'clamp'
-    regularizes the eigenvalue signs at the floor (the solver's
-    choice).
+    interface J is singular; the eigenvalue signs are regularized at
+    ``lambda_floor`` so the parts stay finite.
     """
     dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
     roe = roe_average(W_l.state, W_r.state, c)
     floor = lambda_floor(roe.u, roe.c)
-    if on_sonic == "error":
-        l1, l2 = roe.lam
-        if np.any(np.minimum(np.abs(l1), np.abs(l2)) < floor):
-            raise SonicInterfaceError("sonic interface: Roe matrix is singular")
-    elif on_sonic != "clamp":
-        raise ValueError(f"unknown on_sonic policy {on_sonic!r}")
     c2 = roe.c * roe.c
     up0, up1 = roe.sign_matrix_source(floor)
     minus = (0.5 * (0.0 - up0 * dH), 0.5 * (c2 * dH - up1 * dH))
@@ -108,44 +76,30 @@ def roe_source_split(W_l: ExtState, W_r: ExtState, c: PhysConstants,
 
 
 def omega_source_split(W_l: ExtState, W_r: ExtState, omega: float, dx: float, dt: float,
-                       reg: SonicRegularization, c: PhysConstants,
-                       form: str | None = None) -> SourceSplit:
+                       c: PhysConstants) -> SourceSplit:
     """Splitting paired with the omega centred flux.
 
-    centred part +- [(1-omega) dx/dt J^-1 + omega dt/dx J] (0, c^2) dH,
-    with J^-1 evaluated per ``reg``. ``form`` is 'half' (both parts
-    carry a 1/2) or 'as-printed'; None defers to the assembled
-    self-test (see module docstring).
+    S+- = 1/2 [(0, c^2 dH) +- ((1-omega) dx/dt (J*)^-1 + omega dt/dx J) (0, c^2 dH)],
+    with the zero-velocity inverse (J*)^-1 (0, c^2 dH) = (dH, 0) (see the
+    module docstring).
     """
     if not (dx > 0 and dt > 0):
         raise ValueError("dx and dt must be positive")
-    if form is None:
-        form = resolved_split_form()
-    if form not in ("half", "as-printed"):
-        raise ValueError(f"unknown split form {form!r}")
     dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
     roe = roe_average(W_l.state, W_r.state, c)
     u, cel = np.asarray(roe.u, float), np.asarray(roe.c, float)
     c2 = cel * cel
-    # J applied to (0, c^2 dH)
+    # J and (J*)^-1 applied to (0, c^2 dH)
     jS0 = c2 * dH
     jS1 = 2.0 * u * c2 * dH
-    if reg.mode == "star":
-        iS0 = dH + np.zeros_like(jS0)
-        iS1 = np.zeros_like(jS0)
-    else:
-        fr2 = np.where(c2 > 0, u * u / np.maximum(c2, 1e-300), 0.0)
-        x = 1.0 - fr2
-        mu = np.maximum(reg.eps, np.abs(x)) * np.where(x >= 0, 1.0, -1.0)
-        iS0 = c2 * dH / mu
-        iS1 = 2.0 * u * c2 * dH / mu
+    iS0 = dH + np.zeros_like(jS0)
+    iS1 = np.zeros_like(jS0)
     a = (1.0 - omega) * dx / dt
     b = omega * dt / dx
     up0 = a * iS0 + b * jS0
     up1 = a * iS1 + b * jS1
-    f = 0.5 if form == "half" else 1.0
-    minus = (f * (0.0 - up0), f * (c2 * dH - up1))
-    plus = (f * (0.0 + up0), f * (c2 * dH + up1))
+    minus = (0.5 * (0.0 - up0), 0.5 * (c2 * dH - up1))
+    plus = (0.5 * (0.0 + up0), 0.5 * (c2 * dH + up1))
     return SourceSplit(minus=minus, plus=plus)
 
 
@@ -160,39 +114,6 @@ def path_source_trapezoid(W_l: ExtState, W_r: ExtState, c: PhysConstants):
     return np.zeros_like(hl + dH), c.g * 0.5 * (hl + hr) * dH
 
 
-@functools.lru_cache(maxsize=1)
 def resolved_split_form() -> str:
-    """Pick the omega-splitting form that keeps water at rest fixed.
-
-    Assembles one explicit update on a 4-cell rest state over a bottom
-    step for each candidate form and returns the one with zero
-    residual. Exactly one candidate passes; the winner is recorded in
-    run reports.
-    """
-    c = PhysConstants()
-    H = np.array([0.5, 0.5, 0.2, 0.2])
-    h = 0.5 + H  # free surface at 0.5, at rest
-    q = np.zeros_like(h)
-    dx, cfl = 0.1, 0.9
-    dt = cfl * dx / np.max(np.sqrt(c.g * h))
-    omega = 0.5
-    reg = SonicRegularization()
-    wl = PhysState(h[:-1], q[:-1])
-    wr = PhysState(h[1:], q[1:])
-    Wl = ExtState(wl, H[:-1])
-    Wr = ExtState(wr, H[1:])
-    f0, f1 = omega_flux(wl, wr, omega, dx, dt, c)
-    passing = []
-    for form in ("half", "as-printed"):
-        s = omega_source_split(Wl, Wr, omega, dx, dt, reg, c, form=form)
-        # interior cells 1 and 2; interface i carries cells (i, i+1)
-        res = 0.0
-        for i in (1, 2):
-            dh = -(dt / dx) * (f0[i] - f0[i - 1]) + (dt / dx) * (s.plus[0][i - 1] + s.minus[0][i])
-            dq = -(dt / dx) * (f1[i] - f1[i - 1]) + (dt / dx) * (s.plus[1][i - 1] + s.minus[1][i])
-            res = max(res, abs(dh), abs(dq))
-        if res < 1e-13:
-            passing.append(form)
-    if len(passing) != 1:
-        raise RuntimeError(f"split-form self-test is inconclusive: {passing}")
-    return passing[0]
+    """The omega-splitting form every run uses, recorded in run reports."""
+    return "half"

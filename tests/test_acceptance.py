@@ -44,12 +44,7 @@ from swelab.solver import (
     run,
     step,
 )
-from swelab.sources import (
-    SonicRegularization,
-    omega_source_split,
-    path_source_trapezoid,
-    roe_source_split,
-)
+from swelab.sources import omega_source_split, path_source_trapezoid, roe_source_split
 
 C = PhysConstants()
 IMPLEMENTED = tuple(s for s, e in SCHEMES.items() if e["implemented"])
@@ -193,11 +188,10 @@ def test_criterion_03_path_sum_identity():
     Wl = ExtState(PhysState(hl, hl * ul), Hl)
     Wr = ExtState(PhysState(hr, hr * ur), Hr)
     t0, t1 = path_source_trapezoid(Wl, Wr, C)
-    reg = SonicRegularization()
     worst = 0.0
-    splits = [roe_source_split(Wl, Wr, C, on_sonic="clamp"),
-              omega_source_split(Wl, Wr, 0.5, 0.1, 0.01, reg, C),
-              omega_source_split(Wl, Wr, 1.0 / 1.9, 0.1, 0.01, reg, C)]
+    splits = [roe_source_split(Wl, Wr, C),
+              omega_source_split(Wl, Wr, 0.5, 0.1, 0.01, C),
+              omega_source_split(Wl, Wr, 1.0 / 1.9, 0.1, 0.01, C)]
     for split in splits:
         s0 = split.minus[0] + split.plus[0]
         s1 = split.minus[1] + split.plus[1]

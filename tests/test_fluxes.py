@@ -132,19 +132,6 @@ def test_omega_flux_argument_validation(c):
         omega_flux(w, w, 1.5, 0.1, 0.01, c)
 
 
-def test_entropy_fix_smooths_sonic_interface(c):
-    """Harten's fix only perturbs interfaces with a small eigenvalue."""
-    h = 0.3
-    q = h * np.sqrt(c.g * h)  # transonic: lambda_1 ~ 0
-    wl, wr = PhysState(h, q), PhysState(0.32, q)
-    plain = roe_flux(wl, wr, c, fix=False)
-    fixed = roe_flux(wl, wr, c, fix=True)
-    assert not np.allclose(plain, fixed)
-    # far from sonic the fix is inactive
-    wl, wr = PhysState(0.3, 0.9), PhysState(0.32, 0.95)
-    assert np.allclose(roe_flux(wl, wr, c, fix=False), roe_flux(wl, wr, c, fix=True))
-
-
 # -- dry handling ---------------------------------------------------------
 
 def test_all_dry_interface_raises(c):
