@@ -14,13 +14,13 @@ import argparse
 import concurrent.futures
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from swelab.core import NearCriticalError, PhysConstants, SWEError
 from swelab.diagnostics import convergence_study
+from swelab.kernel import GATE_POLICIES
 from swelab.presets import DEFAULT_CELLS, PARAM_DEFAULTS, build_preset, exact_profile
 from swelab.solver import SCHEMES, RunReport, SchemeConfig, StopRule, run
 
@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--scheme", required=True, help="scheme id")
         sp.add_argument("--cells", type=int, default=None)
         sp.add_argument("--cfl", type=float, default=0.9)
-        sp.add_argument("--gate", choices=("dimensional", "as-printed"), default="dimensional")
+        sp.add_argument("--gate", choices=GATE_POLICIES, default="dimensional")
         sp.add_argument("--param", action="append", metavar="K=V", default=[])
         sp.add_argument("--until", default=None, help="steady | time=T")
         sp.add_argument("--out", default=".")

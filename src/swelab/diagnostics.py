@@ -171,23 +171,17 @@ def entropy_production_total(before: SimState, after: SimState, dt: float, dx: f
     eb = entropy_pair(ExtState(PhysState(before.h, before.q), before.H), c)
     ea = entropy_pair(ExtState(PhysState(after.h, after.q), after.H), c)
     interior = float(np.sum(np.asarray(ea.eta) - np.asarray(eb.eta)) * dx / dt)
-    if left_ghost is not None and left_flux is not None:
-        Fg = physical_flux(left_ghost.state, c)
-        dF = (left_flux[0] - Fg[0], left_flux[1] - Fg[1])
-        G_left = float(entropy_pair(left_ghost, c).G + _entropy_gradient_dot(left_ghost, dF, c))
-    else:
-        G_left = float(
-            entropy_pair(ExtState(PhysState(before.h[0], before.q[0]), before.H[0]), c).G
-        )
-    if right_ghost is not None and right_flux is not None:
-        Fg = physical_flux(right_ghost.state, c)
-        dF = (right_flux[0] - Fg[0], right_flux[1] - Fg[1])
-        G_right = float(entropy_pair(right_ghost, c).G + _entropy_gradient_dot(right_ghost, dF, c))
-    else:
-        G_right = float(
-            entropy_pair(ExtState(PhysState(before.h[-1], before.q[-1]), before.H[-1]), c).G
-        )
-    return interior + (G_right - G_left)
+
+    def boundary_G(ghost, flux, i):
+        if ghost is None or flux is None:
+            return float(entropy_pair(ExtState(PhysState(before.h[i], before.q[i]), before.H[i]),
+                                      c).G)
+        Fg = physical_flux(ghost.state, c)
+        dF = (flux[0] - Fg[0], flux[1] - Fg[1])
+        return float(entropy_pair(ghost, c).G + _entropy_gradient_dot(ghost, dF, c))
+
+    return interior + (boundary_G(right_ghost, right_flux, -1)
+                       - boundary_G(left_ghost, left_flux, 0))
 
 
 def convergence_study(spec_family: Callable[[int], SimSpec], cfg: SchemeConfig,

@@ -21,9 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from swelab import kernel
 from swelab.core import ExtState, PhysConstants, PhysState, velocity
-from swelab.fluxes import FluxKind, omega_flux, roe_flux
+from swelab.fluxes import FluxKind
+from swelab.kernel import GATE_POLICIES, pressure
 from swelab.sources import SourceSplit
+
+# Unused here since the formulas moved to ``kernel``; bound for bench/tracer.py.
+from swelab.fluxes import omega_flux, roe_flux  # noqa: F401
 
 __all__ = [
     "HRInterface",
@@ -35,8 +40,6 @@ __all__ = [
     "hr_interface_terms",
     "GATE_POLICIES",
 ]
-
-GATE_POLICIES = ("dimensional", "as-printed")
 
 
 @dataclass
@@ -58,149 +61,69 @@ class HRCorrections:
     T_plus: float | np.ndarray
 
 
-def pressure(h, g):
-    """Hydrostatic pressure integral p(h) = g h^2 / 2."""
-    return 0.5 * g * h * h
+def _arrays(W_l: ExtState, W_r: ExtState):
+    return tuple(np.asarray(a, dtype=float) for a in (W_l.h, W_l.H, W_r.h, W_r.H))
+
+
+def _depths(iface: HRInterface):
+    return np.asarray(iface.w_minus.h, float), np.asarray(iface.w_plus.h, float)
 
 
 def hr_reconstruct(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> HRInterface:
-    """One-sided states at the interface bottom level min(H_l, H_r).
-
-    Depths are the free surfaces re-measured from H*, clipped at zero;
-    velocities are the donor-cell velocities. ``large_step`` flags
-    interfaces where a surface lies below the opposite bottom level,
-    i.e. where clipping actually truncated the column.
-    """
-    Hl = np.asarray(W_l.H, float)
-    Hr = np.asarray(W_r.H, float)
-    H_star = np.minimum(Hl, Hr)
-    ul = velocity(W_l.state, c)
-    ur = velocity(W_r.state, c)
-    hm = np.maximum(np.asarray(W_l.h, float) - Hl + H_star, 0.0)
-    hp = np.maximum(np.asarray(W_r.h, float) - Hr + H_star, 0.0)
-    large = (np.asarray(W_l.h, float) - Hl + H_star < 0) | (
-        np.asarray(W_r.h, float) - Hr + H_star < 0
-    )
-    return HRInterface(
-        H_star=H_star,
-        w_minus=PhysState(hm, hm * ul),
-        w_plus=PhysState(hp, hp * ur),
-        large_step=large,
-    )
+    """One-sided states at H* = min(H_l, H_r) with the donor-cell
+    velocities; see ``kernel.hr_depths``."""
+    H_star, hm, hp, large = kernel.hr_depths(*_arrays(W_l, W_r))
+    ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
+    return HRInterface(H_star, PhysState(hm, hm * ul), PhysState(hp, hp * ur), large)
 
 
 def hr_source(W_l: ExtState, W_r: ExtState, iface: HRInterface,
               c: PhysConstants) -> SourceSplit:
-    """Pressure-difference source split of the original reconstruction.
-
-    S- = (0, p(h-) - p(h_l)) and S+ = (0, p(h_r) - p(h+)); each side is
-    the source-path integral of its own reconstruction segment, so the
-    pair cancels the reconstructed flux exactly for water at rest.
-    """
-    hl = np.asarray(W_l.h, float)
-    hr = np.asarray(W_r.h, float)
-    hm = np.asarray(iface.w_minus.h, float)
-    hp = np.asarray(iface.w_plus.h, float)
+    """S- = (0, p(h-) - p(h_l)) and S+ = (0, p(h_r) - p(h+)): each side's
+    segment integral, cancelling the reconstructed flux at rest."""
+    hl, _, hr, _ = _arrays(W_l, W_r)
     zero = np.zeros_like(hl + hr)
-    minus = (zero, pressure(hm, c.g) - pressure(hl, c.g))
-    plus = (zero, pressure(hr, c.g) - pressure(hp, c.g))
-    return SourceSplit(minus=minus, plus=plus)
-
-
-def _gate_threshold(h, u, g, policy):
-    """Right-hand side of the energy gate.
-
-    The printed form (3/2) sqrt((g h u)^3) is dimensionally
-    inconsistent with the specific-energy left-hand side; the default
-    'dimensional' policy uses the critical-head form
-    (3/2) ((g h u)^2)^(1/3).
-    """
-    ghu = g * h * u
-    if policy == "dimensional":
-        return 1.5 * np.cbrt(ghu * ghu)
-    if policy == "as-printed":
-        return 1.5 * np.sqrt(np.maximum(ghu, 0.0) ** 3)
-    raise ValueError(f"unknown gate policy {policy!r}")
+    minus, plus = kernel.hr_source(hl, hr, *_depths(iface), c.g)
+    return SourceSplit(minus=(zero, minus), plus=(zero, plus))
 
 
 def modified_hr_corrections(W_l: ExtState, W_r: ExtState, iface: HRInterface,
                             gate: str, c: PhysConstants) -> HRCorrections:
-    """Large-step corrections T+- of the modified reconstruction.
-
-    Outside large steps both are zero and the variants coincide. At an
-    emerging bottom (one side dry below the opposite bottom level) the
-    energy gate decides whether the fluid can climb the step: if not,
-    the original reconstruction is kept (this is what preserves water
-    at rest against a dry bank). Wet/wet large steps always receive the
-    corrections, which turn each one-sided source into the
-    straight-segment integral over the full step height.
-    """
-    g = c.g
-    hl = np.asarray(W_l.h, float)
-    hr = np.asarray(W_r.h, float)
-    Hl = np.asarray(W_l.H, float)
-    Hr = np.asarray(W_r.H, float)
-    Hs = np.asarray(iface.H_star, float)
-    hm = np.asarray(iface.w_minus.h, float)
-    hp = np.asarray(iface.w_plus.h, float)
-    ul = velocity(W_l.state, c)
-    ur = velocity(W_r.state, c)
-
-    emerging_r = (hr <= c.h_dry) & (hl - Hl + Hr < 0)
-    emerging_l = (hl <= c.h_dry) & (hr - Hr + Hl < 0)
-    gate_r = emerging_r & (ul > 0) & (
-        0.5 * ul * ul + g * (hl - Hl + Hr) > _gate_threshold(hl, ul, g, gate)
-    )
-    gate_l = emerging_l & (ur < 0) & (
-        0.5 * ur * ur + g * (hr - Hr + Hl) > _gate_threshold(hr, -np.asarray(ur, float), g, gate)
-    )
-    emerging = emerging_r | emerging_l
-    apply = np.asarray(iface.large_step) & (~emerging | gate_r | gate_l)
-    iface.gate_applied = gate_r | gate_l
-
-    t_minus = pressure(hl, g) - pressure(hm, g) + g * 0.5 * (hl + hm) * (Hs - Hl)
-    t_plus = pressure(hp, g) - pressure(hr, g) + g * 0.5 * (hr + hp) * (Hr - Hs)
-    zero = np.zeros_like(t_minus)
-    return HRCorrections(
-        T_minus=np.where(apply, t_minus, zero),
-        T_plus=np.where(apply, t_plus, zero),
-    )
+    """Large-step corrections T+- (``kernel.large_step_corrections``), zero
+    outside large steps; the gate keeps rest against a dry bank. Sets
+    ``iface.gate_applied``."""
+    hl, Hl, hr, Hr = _arrays(W_l, W_r)
+    hm, hp = _depths(iface)
+    ul, ur = (np.asarray(velocity(W.state, c), float) for W in (W_l, W_r))
+    recon = (np.asarray(iface.H_star, float), hm, hp, np.asarray(iface.large_step))
+    split = kernel.hr_source(hl, hr, hm, hp, c.g)
+    T_minus, T_plus, iface.gate_applied = kernel.large_step_corrections(
+        hl, ul, Hl, hr, ur, Hr, recon, split, c.g, c.h_dry, gate)
+    return HRCorrections(T_minus=T_minus, T_plus=T_plus)
 
 
 def hr_interface_terms(W_l: ExtState, W_r: ExtState, flux: FluxKind, variant: str,
                        c: PhysConstants, dx: float | None = None,
                        dt: float | None = None, cfl: float = 0.9,
                        gate: str = "dimensional"):
-    """Assembled interface flux and source split for the HR family.
+    """The HR scheme's interface terms (``kernel.hydrostatic``).
 
-    ``variant`` is 'original' or 'modified'. The homogeneous flux is
-    evaluated at the reconstructed pair; interfaces whose reconstructed
-    states are both dry carry zero flux. Returns (flux pair,
-    SourceSplit, HRInterface).
+    ``variant`` is 'original' or 'modified'. Returns (flux pair,
+    SourceSplit, HRInterface); interfaces dry on both sides carry zeros.
     """
     if variant not in ("original", "modified"):
         raise ValueError(f"unknown HR variant {variant!r}")
-    iface = hr_reconstruct(W_l, W_r, c)
-    split = hr_source(W_l, W_r, iface, c)
-    if variant == "modified":
-        corr = modified_hr_corrections(W_l, W_r, iface, gate, c)
-        split = SourceSplit(
-            minus=(split.minus[0], split.minus[1] + corr.T_minus),
-            plus=(split.plus[0], split.plus[1] + corr.T_plus),
-        )
-    hm = np.asarray(iface.w_minus.h, float)
-    hp = np.asarray(iface.w_plus.h, float)
-    both_dry = (hm <= 0) & (hp <= 0)
-    # Substitute a dummy wet pair where both reconstructed columns are
-    # empty (a legitimate configuration, e.g. rest against a bank).
-    wl = PhysState(np.where(both_dry, 1.0, hm), np.where(both_dry, 0.0, iface.w_minus.q))
-    wr = PhysState(np.where(both_dry, 1.0, hp), np.where(both_dry, 0.0, iface.w_plus.q))
-    if flux.name == "roe":
-        f0, f1 = roe_flux(wl, wr, c)
-    else:
+    omega_ab = None
+    if flux.name == "omega":
         if dx is None or dt is None:
             raise ValueError("omega fluxes need dx and dt")
-        f0, f1 = omega_flux(wl, wr, flux.omega(cfl), dx, dt, c)
-    f0 = np.where(both_dry, 0.0, f0)
-    f1 = np.where(both_dry, 0.0, f1)
-    return (f0, f1), split, iface
+        omega_ab = kernel.omega_coefficients(flux.omega(cfl), dx, dt)
+    iface = hr_reconstruct(W_l, W_r, c)
+    if variant == "modified":
+        modified_hr_corrections(W_l, W_r, iface, gate, c)  # sets iface.gate_applied
+    hl, Hl, hr, Hr = _arrays(W_l, W_r)
+    ql, qr = np.asarray(W_l.q, float), np.asarray(W_r.q, float)
+    F, (_, minus), (_, plus) = kernel.hydrostatic(
+        hl, ql, Hl, hr, qr, Hr, c.g, c.h_dry, variant == "modified", gate, omega_ab)
+    zero = np.zeros_like(hl + hr)
+    return F, SourceSplit(minus=(zero, minus), plus=(zero, plus)), iface

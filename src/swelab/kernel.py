@@ -1,0 +1,241 @@
+"""Interface formulas of every scheme, on plain float arrays.
+
+The one place where the fluxes, source splits and hydrostatic
+reconstruction are written down: ``solver.step`` calls the three scheme
+functions at the bottom, and ``fluxes``, ``sources`` and ``hydrostatic``
+wrap the same formulas as object-level functions.
+
+A scheme function takes the states on both sides of every interface
+(``hl, ql, Hl`` and ``hr, qr, Hr``: equal-length or 0-d float arrays)
+and returns ``(F, S-, S+)``, each a (mass, momentum) pair; S- goes to
+the left cell, S+ to the right one, and a mass part of ``None`` is
+zero. Dry/dry interfaces use the dummy wet state (1, 0) and are zeroed
+(``DryInterfaceError`` if all are dry). Masks and substitutions are
+skipped where they would change nothing.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from swelab.core import DryInterfaceError
+
+GATE_POLICIES = ("dimensional", "as-printed")
+
+
+def velocity(h, q, h_dry):
+    """q/h, exactly zero at and below the dry threshold."""
+    wet = h > h_dry
+    if wet.all():
+        return q / h
+    return np.where(wet, q / np.maximum(h, h_dry), 0.0)
+
+
+def _velocity_and_flux(h, q, g, h_dry):
+    """Velocity and physical flux (q, q u + g h^2/2), the flux dividing
+    by h down to zero depth (as ``core.physical_flux`` does)."""
+    if (h > h_dry).all():
+        u = q / h
+        return u, q, q * u + 0.5 * g * h * h
+    if (h < 0).any():
+        raise ValueError("negative water thickness")
+    wet = h > 0
+    u_flux = np.where(wet, q / np.maximum(h, 1e-300), 0.0)
+    return np.where(h > h_dry, u_flux, 0.0), q * wet, q * u_flux + 0.5 * g * h * h
+
+
+def pressure(h, g):
+    """Hydrostatic pressure integral p(h) = g h^2 / 2."""
+    return 0.5 * g * h * h
+
+
+def wet_pairs(hl, ql, hr, qr, h_dry):
+    """The dummy wet state (1, 0) on both sides of dry/dry interfaces,
+    and the wet mask (None, arrays unchanged, when no interface is dry)."""
+    wet = (hl > h_dry) | (hr > h_dry)
+    if wet.all():
+        return hl, ql, hr, qr, None
+    if not wet.any():
+        raise DryInterfaceError("dry interface")
+    return (*(np.where(wet, a, d) for a, d in ((hl, 1.0), (ql, 0.0), (hr, 1.0), (qr, 0.0))), wet)
+
+
+def _masked(wet, pair):
+    if wet is None:
+        return pair
+    return tuple(None if a is None else np.where(wet, a, 0.0) for a in pair)
+
+
+def roe_mean(hl, hr, ul, ur, g):
+    """Roe velocity (sqrt(h)-weighted) and celerity sqrt(g (h_l + h_r)/2),
+    which satisfy F(w_r) - F(w_l) = J (w_r - w_l)."""
+    sl, sr = np.sqrt(hl), np.sqrt(hr)
+    return (sl * ul + sr * ur) / (sl + sr), np.sqrt(g * 0.5 * (hl + hr))
+
+
+def apply_jacobian(u, c, v0, v1):
+    """J (v0, v1) with J = [[0, 1], [c^2 - u^2, 2 u]]."""
+    return v1, (c * c - u * u) * v0 + 2.0 * u * v1
+
+
+def abs_jacobian(u, c):
+    """Entries (m00, m01, m10, m11) of |J| = K |Lambda| K^-1, eigenvalues u -/+ c."""
+    l1, l2 = u - c, u + c
+    a, b = np.abs(l1), np.abs(l2)
+    d = 2.0 * c  # l2 - l1
+    return (a * l2 - b * l1) / d, (b - a) / d, l1 * l2 * (a - b) / d, (b * l2 - a * l1) / d
+
+
+def lambda_floor(u, c):
+    """Scale-relative threshold below which an eigenvalue counts as zero."""
+    return 1e-8 * np.maximum(1.0, np.abs(u) + c)
+
+
+def omega_coefficients(omega, dx, dt):
+    """(a, b) = ((1-omega) dx/dt, omega dt/dx), the weights of Id and J^2."""
+    if not (dx > 0 and dt > 0):
+        raise ValueError("dx and dt must be positive")
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError("omega must lie in [0, 1]")
+    return (1.0 - omega) * dx / dt, omega * dt / dx
+
+
+def flux(hl, ql, hr, qr, g, h_dry, omega_ab=None):
+    """Roe flux 1/2 (F_l + F_r) - 1/2 |J| (w_r - w_l), or with ``omega_ab = (a, b)``
+    1/2 (F_l + F_r) - 1/2 (a Id + b J^2) (w_r - w_l); with the Roe average
+    (u, c) it used and the wet mask."""
+    hl, ql, hr, qr, wet = wet_pairs(hl, ql, hr, qr, h_dry)
+    ul, fl0, fl1 = _velocity_and_flux(hl, ql, g, h_dry)
+    ur, fr0, fr1 = _velocity_and_flux(hr, qr, g, h_dry)
+    u, c = roe_mean(hl, hr, ul, ur, g)
+    d0, d1 = hr - hl, qr - ql
+    if omega_ab is None:
+        m00, m01, m10, m11 = abs_jacobian(u, c)
+        v0, v1 = m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
+    else:
+        a, b = omega_ab
+        j0, j1 = apply_jacobian(u, c, d0, d1)
+        jj0, jj1 = apply_jacobian(u, c, j0, j1)
+        v0, v1 = a * d0 + b * jj0, a * d1 + b * jj1
+    F = (0.5 * (fl0 + fr0) - 0.5 * v0, 0.5 * (fl1 + fr1) - 0.5 * v1)
+    return _masked(wet, F), u, c, wet
+
+
+def roe_source(u, c, dH):
+    """S+- = 1/2 (Id +- |J| J^-1) (0, c^2 dH), as (S-, S+).
+
+    |J| J^-1 (0, c^2) = c^2 K sgn(Lambda) K^-1 e2, each sign taken as
+    lam / max(|lam|, lambda_floor) so sonic interfaces stay finite.
+    """
+    l1, l2 = u - c, u + c
+    floor = lambda_floor(u, c)
+    s1 = l1 / np.maximum(np.abs(l1), floor)
+    s2 = l2 / np.maximum(np.abs(l2), floor)
+    d = 2.0 * c
+    c2 = c * c
+    up0 = c2 * (s2 - s1) / d * dH
+    up1 = c2 * (s2 * l2 - s1 * l1) / d * dH
+    c2dH = c2 * dH
+    return (0.5 * (0.0 - up0), 0.5 * (c2dH - up1)), (0.5 * (0.0 + up0), 0.5 * (c2dH + up1))
+
+
+def omega_source(u, c, dH, a, b):
+    """S+- = 1/2 [(0, c^2 dH) +- (a (J*)^-1 + b J) (0, c^2 dH)], as (S-, S+),
+    with (J*)^-1 (0, c^2 dH) = (dH, 0) and J (0, c^2 dH) = (c^2 dH, 2 u c^2 dH)."""
+    c2 = c * c
+    c2dH = c2 * dH
+    up0 = a * dH + b * c2dH
+    up1 = b * (2.0 * u * c2 * dH)
+    return (0.5 * (0.0 - up0), 0.5 * (c2dH - up1)), (0.5 * (0.0 + up0), 0.5 * (c2dH + up1))
+
+
+def hr_depths(hl, Hl, hr, Hr):
+    """H* = min(H_l, H_r), the depths h-, h+ re-measured from H* and
+    clipped at zero, and the large-step flags (a column truncated)."""
+    H_star = np.minimum(Hl, Hr)
+    el = hl - Hl + H_star
+    er = hr - Hr + H_star
+    return H_star, np.maximum(el, 0.0), np.maximum(er, 0.0), (el < 0) | (er < 0)
+
+
+def hr_source(hl, hr, hm, hp, g):
+    """Momentum parts p(h-) - p(h_l) of S- and p(h_r) - p(h+) of S+."""
+    return pressure(hm, g) - pressure(hl, g), pressure(hr, g) - pressure(hp, g)
+
+
+def gate_threshold(h, u, g, policy):
+    """Right-hand side of the energy gate: the critical-head form (3/2)
+    ((g h u)^2)^(1/3) ('dimensional', the default) or the printed form
+    (3/2) sqrt((g h u)^3), dimensionally inconsistent with the
+    specific-energy left-hand side ('as-printed')."""
+    ghu = g * h * u
+    if policy == "dimensional":
+        return 1.5 * np.cbrt(ghu * ghu)
+    if policy == "as-printed":
+        return 1.5 * np.sqrt(np.maximum(ghu, 0.0) ** 3)
+    raise ValueError(f"unknown gate policy {policy!r}")
+
+
+def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate):
+    """T-, T+ of the modified reconstruction and the gate flags, from the
+    outputs ``recon`` of ``hr_depths`` and ``split`` of ``hr_source``.
+
+    T turns a side's source into the straight-segment integral over the
+    full step. At an emerging bottom (one side dry below the opposite
+    bottom level) it applies only if the energy gate lets the fluid climb.
+    """
+    if gate not in GATE_POLICIES:
+        raise ValueError(f"unknown gate policy {gate!r}")
+    H_star, hm, hp, large = recon
+    dry_l, dry_r = hl <= h_dry, hr <= h_dry
+    apply, gated = large, np.zeros_like(large)
+    if dry_l.any() or dry_r.any():
+        emerging_r = dry_r & (hl - Hl + Hr < 0)
+        emerging_l = dry_l & (hr - Hr + Hl < 0)
+        gate_r = emerging_r & (ul > 0) & (
+            0.5 * ul * ul + g * (hl - Hl + Hr) > gate_threshold(hl, ul, g, gate))
+        gate_l = emerging_l & (ur < 0) & (
+            0.5 * ur * ur + g * (hr - Hr + Hl) > gate_threshold(hr, -ur, g, gate))
+        gated = gate_r | gate_l
+        apply = large & (~(emerging_r | emerging_l) | gated)
+    t_minus = g * 0.5 * (hl + hm) * (H_star - Hl) - split[0]
+    t_plus = g * 0.5 * (hr + hp) * (Hr - H_star) - split[1]
+    return np.where(apply, t_minus, 0.0), np.where(apply, t_plus, 0.0), gated
+
+
+def roe_upwind(hl, ql, Hl, hr, qr, Hr, g, h_dry):
+    """Roe flux with the characteristic source split."""
+    F, u, c, wet = flux(hl, ql, hr, qr, g, h_dry)
+    minus, plus = roe_source(u, c, Hr - Hl)
+    return F, _masked(wet, minus), _masked(wet, plus)
+
+
+def omega_upwind(hl, ql, Hl, hr, qr, Hr, g, h_dry, omega_ab):
+    """Omega centred flux, ``omega_ab = (a, b)``, with its paired source split."""
+    F, u, c, wet = flux(hl, ql, hr, qr, g, h_dry, omega_ab)
+    minus, plus = omega_source(u, c, Hr - Hl, *omega_ab)
+    return F, _masked(wet, minus), _masked(wet, plus)
+
+
+def hydrostatic(hl, ql, Hl, hr, qr, Hr, g, h_dry, modified, gate, omega_ab=None):
+    """Hydrostatic reconstruction over the Roe flux, or an omega flux with
+    ``omega_ab = (a, b)``; ``modified`` adds the large-step corrections.
+    The flux is zero where both reconstructed columns are empty (e.g. rest
+    against a bank); they are computed against the dummy wet state."""
+    ul, ur = velocity(hl, ql, h_dry), velocity(hr, qr, h_dry)
+    recon = hr_depths(hl, Hl, hr, Hr)
+    _, hm, hp, large = recon
+    minus, plus = split = hr_source(hl, hr, hm, hp, g)
+    if modified and large.any():
+        t_minus, t_plus, _ = large_step_corrections(
+            hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
+        minus, plus = minus + t_minus, plus + t_plus
+    pair, empty = (hm, hm * ul, hp, hp * ur), (hm <= 0) & (hp <= 0)
+    filled = ~empty if empty.any() else None
+    if filled is not None:
+        pair = tuple(np.where(filled, a, d) for a, d in zip(pair, (1.0, 0.0, 1.0, 0.0)))
+    F = _masked(filled, flux(*pair, g, h_dry, omega_ab)[0])
+    wet = (hl > h_dry) | (hr > h_dry)
+    if wet.all():
+        wet = None
+    return _masked(wet, F), _masked(wet, (None, minus)), _masked(wet, (None, plus))

@@ -7,27 +7,26 @@ One explicit step reads
 
 for any combination of homogeneous flux and source treatment. All
 interface terms are computed from time-n data only, vectorized over the
-interfaces of a ghost-padded array.
+interfaces of a ghost-padded array, by the plain-array formulas of
+``swelab.kernel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from swelab.core import (
-    DryStateError,
-    ExtState,
-    PhysConstants,
-    PhysState,
-    SWEError,
-    velocity,
-)
-from swelab.fluxes import FluxKind, ROE, omega_flux, roe_flux
-from swelab.hydrostatic import hr_interface_terms
-from swelab.sources import omega_source_split, resolved_split_form, roe_source_split
+from swelab import kernel
+from swelab.core import DryStateError, ExtState, PhysConstants, PhysState, SWEError
+from swelab.fluxes import FluxKind, ROE
+from swelab.sources import resolved_split_form
+
+# Object-level functions the step no longer calls, bound for bench/tracer.py.
+from swelab.fluxes import omega_flux, roe_flux  # noqa: F401
+from swelab.hydrostatic import hr_interface_terms  # noqa: F401
+from swelab.sources import omega_source_split, roe_source_split  # noqa: F401
 
 __all__ = [
     "Grid",
@@ -202,6 +201,10 @@ class SimState:
         return SimState(self.t, self.h.copy(), self.q.copy(), self.H.copy())
 
 
+def _ext(h, q, H) -> ExtState:
+    return ExtState(PhysState(h, q), H)
+
+
 @dataclass
 class StepInfo:
     """Per-step bookkeeping returned by ``step``."""
@@ -209,10 +212,17 @@ class StepInfo:
     clip_events: int
     minor_clip_events: int
     min_h_pre_clip: float
-    left_ghost: ExtState
-    right_ghost: ExtState
+    ghosts: tuple  # (h, q, H) of the left and of the right ghost cell
     left_flux: tuple  # one-sided flux F- seen by the left ghost
     right_flux: tuple  # one-sided flux F+ seen by the right ghost
+
+    @property
+    def left_ghost(self) -> ExtState:
+        return _ext(*self.ghosts[0])
+
+    @property
+    def right_ghost(self) -> ExtState:
+        return _ext(*self.ghosts[1])
 
 
 @dataclass
@@ -231,6 +241,7 @@ class RunReport:
     clip_events: int
     minor_clip_events: int
     entropy_production: np.ndarray | None = None
+    stop_reason: str = ""  # 'steady' | 'final_time' | 'max_time' | 'max_steps'
 
     @property
     def final(self) -> SimState:
@@ -253,71 +264,54 @@ class RunReport:
 
 def cfl_dt(state: SimState, cfg: SchemeConfig, grid: Grid, c: PhysConstants) -> float:
     """dt = CFL dx / max over wet cells of (|u| + sqrt(g h))."""
-    wet = state.h > c.h_dry
-    if not np.any(wet):
-        raise DryStateError("all cells dry, no wave speed")
-    u = np.abs(state.q[wet]) / state.h[wet]
-    smax = np.max(u + np.sqrt(c.g * state.h[wet]))
+    h, q = state.h, state.q
+    wet = h > c.h_dry
+    if not wet.all():
+        if not wet.any():
+            raise DryStateError("all cells dry, no wave speed")
+        h, q = h[wet], q[wet]
+    smax = (np.abs(q) / h + np.sqrt(c.g * h)).max()
     if smax <= 0:
         raise SWEError("zero wave speed")
     return cfg.cfl * grid.dx / smax
 
 
+def _ghost(state: SimState, bc: BoundaryCondition, i_near: int, i_far: int):
+    """(h, q, H) of one ghost cell; ghost H copies the interior value."""
+    if bc.kind == "periodic":
+        return state.h[i_far], state.q[i_far], state.H[i_far]
+    if bc.kind not in ("open", "discharge", "depth", "both"):
+        raise ValueError(f"unknown boundary kind {bc.kind!r}")
+    h = bc.h if bc.kind in ("depth", "both") else state.h[i_near]
+    q = bc.q if bc.kind in ("discharge", "both") else state.q[i_near]
+    return h, q, state.H[i_near]
+
+
 def apply_boundaries(state: SimState, bc_left: BoundaryCondition,
                      bc_right: BoundaryCondition):
     """Ghost states for both sides; ghost H copies the interior value."""
-
-    def ghost(bc, i_near, i_far):
-        if bc.kind == "periodic":
-            return state.h[i_far], state.q[i_far], state.H[i_far]
-        h, q = state.h[i_near], state.q[i_near]
-        if bc.kind == "open":
-            pass
-        elif bc.kind == "discharge":
-            q = bc.q
-        elif bc.kind == "depth":
-            h = bc.h
-        elif bc.kind == "both":
-            h, q = bc.h, bc.q
-        else:
-            raise ValueError(f"unknown boundary kind {bc.kind!r}")
-        return h, q, state.H[i_near]
-
-    hl, ql, Hl = ghost(bc_left, 0, -1)
-    hr, qr, Hr = ghost(bc_right, -1, 0)
-    return ExtState(PhysState(hl, ql), Hl), ExtState(PhysState(hr, qr), Hr)
+    return _ext(*_ghost(state, bc_left, 0, -1)), _ext(*_ghost(state, bc_right, -1, 0))
 
 
-def interface_terms(w_l: PhysState, w_r: PhysState, H_l, H_r, cfg: SchemeConfig,
+def _padded(a: np.ndarray, left, right) -> np.ndarray:
+    out = np.empty(len(a) + 2)
+    out[0], out[1:-1], out[-1] = left, a, right
+    return out
+
+
+def interface_terms(hp: np.ndarray, qp: np.ndarray, Hp: np.ndarray, cfg: SchemeConfig,
                     dx: float, dt: float, c: PhysConstants):
-    """Flux and source split for every interface, dispatched by scheme.
-
-    Returns (F0, F1), (Sm0, Sm1), (Sp0, Sp1) arrays over interfaces.
-    Interfaces dry on both sides carry zeros.
-    """
-    W_l = ExtState(w_l, H_l)
-    W_r = ExtState(w_r, H_r)
-    wet = (np.asarray(w_l.h, float) > c.h_dry) | (np.asarray(w_r.h, float) > c.h_dry)
-    if cfg.source == "upwind":
-        if cfg.flux.name == "roe":
-            F = roe_flux(w_l, w_r, c)
-            split = roe_source_split(W_l, W_r, c)
-        else:
-            omega = cfg.flux.omega(cfg.cfl)
-            F = omega_flux(w_l, w_r, omega, dx, dt, c)
-            split = omega_source_split(W_l, W_r, omega, dx, dt, c)
-    else:
-        variant = "original" if cfg.source == "hr" else "modified"
-        F, split, _ = hr_interface_terms(
-            W_l, W_r, cfg.flux, variant, c, dx=dx, dt=dt, cfl=cfg.cfl, gate=cfg.gate
-        )
-    z = np.zeros_like(np.asarray(F[0]))
-    mask = lambda a: np.where(wet, a, z)
-    return (
-        (mask(F[0]), mask(F[1])),
-        (mask(split.minus[0]), mask(split.minus[1])),
-        (mask(split.plus[0]), mask(split.plus[1])),
-    )
+    """(F0, F1), (Sm0, Sm1), (Sp0, Sp1) over the interfaces of the padded
+    arrays (see ``kernel``); dry/dry interfaces carry zeros."""
+    sides = (hp[:-1], qp[:-1], Hp[:-1], hp[1:], qp[1:], Hp[1:], c.g, c.h_dry)
+    omega_ab = None
+    if cfg.flux.name == "omega":
+        omega_ab = kernel.omega_coefficients(cfg.flux.omega(cfg.cfl), dx, dt)
+    if cfg.source != "upwind":
+        return kernel.hydrostatic(*sides, cfg.source == "modified-hr", cfg.gate, omega_ab)
+    if omega_ab is None:
+        return kernel.roe_upwind(*sides)
+    return kernel.omega_upwind(*sides, omega_ab)
 
 
 def step(state: SimState, cfg: SchemeConfig, grid: Grid,
@@ -329,34 +323,35 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
     below h_dry, a clip event beyond); cells at or below h_dry carry no
     momentum. Raises on non-finite values, naming the first bad cell.
     """
-    gl, gr = apply_boundaries(state, bc_left, bc_right)
-    hp = np.concatenate(([gl.h], state.h, [gr.h]))
-    qp = np.concatenate(([gl.q], state.q, [gr.q]))
-    Hp = np.concatenate(([gl.H], state.H, [gr.H]))
-    w_l = PhysState(hp[:-1], qp[:-1])
-    w_r = PhysState(hp[1:], qp[1:])
-    F, Sm, Sp = interface_terms(w_l, w_r, Hp[:-1], Hp[1:], cfg, grid.dx, dt, c)
+    gl, gr = _ghost(state, bc_left, 0, -1), _ghost(state, bc_right, -1, 0)
+    hp, qp, Hp = (_padded(a, l, r) for a, l, r in zip((state.h, state.q, state.H), gl, gr))
+    F, Sm, Sp = interface_terms(hp, qp, Hp, cfg, grid.dx, dt, c)
     r = dt / grid.dx
-    h = state.h - r * (F[0][1:] - F[0][:-1]) + r * (Sp[0][:-1] + Sm[0][1:])
+    h = state.h - r * (F[0][1:] - F[0][:-1])
+    if Sm[0] is not None:
+        h = h + r * (Sp[0][:-1] + Sm[0][1:])
     q = state.q - r * (F[1][1:] - F[1][:-1]) + r * (Sp[1][:-1] + Sm[1][1:])
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(q))):
+    if not (np.isfinite(h).all() and np.isfinite(q).all()):
         bad = int(np.argmax(~(np.isfinite(h) & np.isfinite(q))))
         raise SWEError(f"non-finite state in cell {bad} at t = {state.t + dt}")
-    min_h = float(np.min(h))
-    neg = h < 0
-    clips = int(np.count_nonzero(h < -c.h_dry))
-    minor = int(np.count_nonzero(neg)) - clips
-    if np.any(neg):
+    min_h = float(h.min())
+    clips = minor = 0
+    if min_h < 0:
+        clips = int(np.count_nonzero(h < -c.h_dry))
+        minor = int(np.count_nonzero(h < 0)) - clips
         h = np.maximum(h, 0.0)
-    q = np.where(h > c.h_dry, q, 0.0)
+    wet = h > c.h_dry
+    if not wet.all():
+        q = np.where(wet, q, 0.0)
+    sm0 = 0.0 if Sm[0] is None else Sm[0][0]
+    sp0 = 0.0 if Sp[0] is None else Sp[0][-1]
     info = StepInfo(
         clip_events=clips,
         minor_clip_events=minor,
         min_h_pre_clip=min_h,
-        left_ghost=gl,
-        right_ghost=gr,
-        left_flux=(F[0][0] - Sm[0][0], F[1][0] - Sm[1][0]),
-        right_flux=(F[0][-1] + Sp[0][-1], F[1][-1] + Sp[1][-1]),
+        ghosts=(gl, gr),
+        left_flux=(F[0][0] - sm0, F[1][0] - Sm[1][0]),
+        right_flux=(F[0][-1] + sp0, F[1][-1] + Sp[1][-1]),
     )
     return SimState(state.t + dt, h, q, state.H), info
 
@@ -381,7 +376,8 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants | None = None,
     The last step before each requested output time is clamped to land
     exactly on it. The residual |w^{n+1} - w^n|_1 / dt is recorded each
     step; with a steady tolerance set, the run stops once the residual
-    falls below tol * (first residual + 1e-30).
+    falls below tol * (first residual + 1e-30). The report's
+    ``stop_reason`` says which rule ended the run.
     """
     if c is None:
         c = cfg.constants()
@@ -389,6 +385,7 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants | None = None,
     grid = spec.grid
     stop = spec.stop
     bound = stop.time_bound()
+    limit0 = np.inf if bound is None else bound
     snap_times = sorted(t for t in spec.snapshot_times if bound is None or t <= bound + 1e-12)
     snapshots = []
     residuals = []
@@ -406,38 +403,34 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants | None = None,
 
     while True:
         if bound is not None and state.t >= bound - 1e-12:
+            stop_reason = "final_time" if bound == stop.final_time else "max_time"
             break
         if steady and stop.steady_tol is not None:
+            stop_reason = "steady"
             break
         if n_steps >= stop.max_steps:
+            stop_reason = "max_steps"
             break
         dt = cfl_dt(state, cfg, grid, c)
-        targets = [t for t in pending if t > state.t + 1e-14]
-        limit = min([bound] if bound is not None else [np.inf])
-        if targets:
-            limit = min(limit, targets[0])
-        if np.isfinite(limit):
+        # every pending output time lies beyond state.t + 1e-12 (see below)
+        limit = min(limit0, pending[0]) if pending else limit0
+        if limit < np.inf:
             dt = min(dt, limit - state.t)
         before = state
         state, info = step(state, cfg, grid, spec.bc_left, spec.bc_right, dt, c)
         n_steps += 1
         clips += info.clip_events
         minor += info.minor_clip_events
-        res = float(
-            (np.sum(np.abs(state.h - before.h)) + np.sum(np.abs(state.q - before.q)))
-            * grid.dx / dt
-        )
+        res = float((np.abs(state.h - before.h).sum() + np.abs(state.q - before.q).sum())
+                    * grid.dx / dt)
         residuals.append(res)
         if residual0 is None:
             residual0 = res
         if track_entropy:
-            entropy.append(
-                entropy_production_total(
-                    before, state, dt, grid.dx, c,
-                    left_ghost=info.left_ghost, right_ghost=info.right_ghost,
-                    left_flux=info.left_flux, right_flux=info.right_flux,
-                )
-            )
+            entropy.append(entropy_production_total(
+                before, state, dt, grid.dx, c, left_ghost=info.left_ghost,
+                right_ghost=info.right_ghost, left_flux=info.left_flux,
+                right_flux=info.right_flux))
         if stop.steady_tol is not None and res <= stop.steady_tol * (residual0 + 1e-30):
             steady = True
         while pending and state.t >= pending[0] - 1e-12:
@@ -472,4 +465,5 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants | None = None,
         clip_events=clips,
         minor_clip_events=minor,
         entropy_production=np.asarray(entropy) if entropy is not None else None,
+        stop_reason=stop_reason,
     )

@@ -36,3 +36,14 @@ def wet_pairs(draw):
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def path_source_trapezoid(W_l, W_r, c):
+    """Exact straight-segment integral of the source, (0, g (h_l+h_r)/2 dH).
+
+    This is the oracle for the S+ + S- sum identities.
+    """
+    hl = np.asarray(W_l.h, float)
+    hr = np.asarray(W_r.h, float)
+    dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
+    return np.zeros_like(hl + dH), c.g * 0.5 * (hl + hr) * dH

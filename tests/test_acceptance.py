@@ -7,7 +7,6 @@ are printed next to the bound) -- see the companion qualitative
 regression tests which capture the real behavior behind those criteria.
 """
 
-import concurrent.futures
 import functools
 import sys
 
@@ -44,7 +43,9 @@ from swelab.solver import (
     run,
     step,
 )
-from swelab.sources import omega_source_split, path_source_trapezoid, roe_source_split
+from swelab.sources import omega_source_split, roe_source_split
+
+from conftest import path_source_trapezoid
 
 C = PhysConstants()
 IMPLEMENTED = tuple(s for s, e in SCHEMES.items() if e["implemented"])
@@ -240,13 +241,11 @@ _ALPHAS = (16.0, 17.0, 18.0, 19.0, 20.0, 21.0)
 
 
 def _test1_spreads():
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        jobs = {
-            (s, a, n): pool.submit(_steady_test1, s, a, n)
-            for s, n in (("hr", 50), ("modified-hr", 50), ("hr", 150))
-            for a in _ALPHAS
-        }
-        done = {k: f.result() for k, f in jobs.items()}
+    done = {
+        (s, a, n): _steady_test1(s, a, n)
+        for s, n in (("hr", 50), ("modified-hr", 50), ("hr", 150))
+        for a in _ALPHAS
+    }
     return {
         key: _pairwise_linf([done[(s, a, n)] for a in _ALPHAS])
         for key, (s, n) in {"hr50": ("hr", 50), "mod50": ("modified-hr", 50),
@@ -293,10 +292,8 @@ _H_R_VALUES = (0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
 
 
 def test_criterion_06_step_plateau():
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        jobs = {(s, H_r): pool.submit(_steady_test3, s, H_r)
-                for s in ("hr", "modified-hr") for H_r in _H_R_VALUES}
-        reports = {k: f.result() for k, f in jobs.items()}
+    reports = {(s, H_r): _steady_test3(s, H_r)
+               for s in ("hr", "modified-hr") for H_r in _H_R_VALUES}
 
     # where does the large-step condition first hold at the step itself?
     # H* = min(0.1, H_r) = 0.1, so it is the downstream column that can
@@ -378,8 +375,7 @@ def test_criterion_08_cross_scheme_agreement():
     # them; both effects shrink like dx but exceed 0.01 at this
     # resolution. The mean-absolute reading (printed below) is an order
     # of magnitude smaller.
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        reports = dict(zip(IMPLEMENTED, pool.map(_steady_test2, IMPLEMENTED)))
+    reports = {s: _steady_test2(s) for s in IMPLEMENTED}
     dx = build_preset(2).grid.dx
     profiles = {s: reports[s].final.h for s in IMPLEMENTED}
     worst = 0.0

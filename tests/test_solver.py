@@ -1,5 +1,7 @@
 """Grid, boundaries, time stepping and the assembled update."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from swelab.core import DryStateError, PhysConstants, SWEError
 from swelab.fluxes import FluxKind
+from swelab.presets import build_preset
 from swelab.solver import (
     SCHEMES,
     BoundaryCondition,
@@ -227,3 +230,33 @@ def test_registry_has_named_unimplemented_slot():
     assert "subsonic" in SCHEMES
     assert not SCHEMES["subsonic"]["implemented"]
     assert sum(e["implemented"] for e in SCHEMES.values()) == 7
+
+
+# -- stop reasons ---------------------------------------------------------
+
+def test_stop_reason_steady():
+    report = run(_rest_spec(steady=True), SchemeConfig.from_id("hr"))
+    assert report.steady_reached and report.stop_reason == "steady"
+
+
+def test_stop_reason_final_time():
+    report = run(_rest_spec(), SchemeConfig.from_id("roe"))
+    assert report.final_time == pytest.approx(0.05)
+    assert report.stop_reason == "final_time"
+
+
+def test_stop_reason_max_time():
+    """A steady-state run that is not steady when its backstop comes."""
+    spec = build_preset(3)
+    spec.stop = StopRule(steady_tol=1e-8, max_time=0.05)
+    report = run(spec, SchemeConfig.from_id("hr"))
+    assert not report.steady_reached and report.final_time == pytest.approx(0.05)
+    assert report.stop_reason == "max_time"
+
+
+def test_stop_reason_max_steps():
+    spec = build_preset(3)
+    spec.stop = replace(spec.stop, max_steps=10)
+    report = run(spec, SchemeConfig.from_id("hr"))
+    assert report.n_steps == 10 and not report.steady_reached
+    assert report.stop_reason == "max_steps"

@@ -11,12 +11,11 @@ from swelab.sources import (
     SourceSplit,
     lambda_floor,
     omega_source_split,
-    path_source_trapezoid,
     resolved_split_form,
     roe_source_split,
 )
 
-from conftest import wet_pairs
+from conftest import path_source_trapezoid, wet_pairs
 
 
 def _ext(pair):
