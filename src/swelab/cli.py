@@ -5,7 +5,12 @@ with a fixed key order, so identical flags give byte-identical files;
 sweeps may run concurrently (--jobs) but rows are emitted in parameter
 order.
 
-Exit codes: 0 ok, 1 runtime failure, 2 usage error.
+``--config FILE`` reads ``key = value`` lines as ``--key=value`` flags
+placed before the command line's own: the command line wins, repeatable
+flags collect the file's values first, and each value is checked as a flag.
+
+Exit codes: 0 ok, 1 runtime failure (a missing config file included),
+2 usage error (an unknown config key included).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from swelab.core import NearCriticalError, PhysConstants, SWEError
+from swelab.core import NearCriticalError, PhysConstants, SWEError, cell_velocity
 from swelab.diagnostics import convergence_study
 from swelab.kernel import GATE_POLICIES
 from swelab.presets import DEFAULT_CELLS, PARAM_DEFAULTS, build_preset, exact_profile
@@ -52,9 +57,9 @@ def _parse_until(text):
     raise ValueError(f"--until expects 'steady' or 'time=T', got {text!r}")
 
 
-def _load_config(path):
-    """Optional `key = value` lines; '#' comments and blanks ignored."""
-    out = {}
+def _config_flags(path):
+    """`key = value` lines as `--key=value` flags; '#' comments and blanks ignored."""
+    out = []
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -62,29 +67,12 @@ def _load_config(path):
         if "=" not in line:
             raise ValueError(f"bad config line: {line!r}")
         k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        out.append(f"--{k.strip()}={v.strip()}")
     return out
 
 
 def _scheme_config(args) -> SchemeConfig:
     return SchemeConfig.from_id(args.scheme, cfl=args.cfl, gate=args.gate)
-
-
-def _apply_config_file(args):
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    casts = dict(test=int, scheme=str, cells=int, cfl=float, gate=str, until=str, out=str)
-    for k, v in cfg.items():
-        if k not in casts:
-            raise ValueError(f"unknown config key {k!r}")
-        # flags override the file: only fill values still at their default
-        if getattr(args, k, None) == _DEFAULTS.get(k):
-            setattr(args, k, casts[k](v))
-
-
-_DEFAULTS = dict(test=None, scheme=None, cells=None, cfl=0.9, gate="dimensional",
-                 until=None, out=".")
 
 
 def _spec_for(args, params):
@@ -103,8 +91,8 @@ def _spec_for(args, params):
 
 def _write_snapshot(path: Path, report: RunReport, c: PhysConstants):
     final = report.final
-    u = np.where(final.h > c.h_dry, final.q / np.maximum(final.h, c.h_dry), 0.0)
-    fr2 = np.where(final.h > c.h_dry, u * u / (c.g * np.maximum(final.h, c.h_dry)), 0.0)
+    u = cell_velocity(final.h, final.q, c.h_dry)
+    fr2 = u * u / (c.g * np.maximum(final.h, c.h_dry))
     eta = final.h - final.H
     with path.open("w") as f:
         f.write("x,H,h,q,eta,u,fr2\n")
@@ -125,7 +113,7 @@ def _summary_dict(report: RunReport, args, params) -> dict:
 def cmd_run(args) -> int:
     params = _parse_params(args.param)
     cfg = _scheme_config(args)
-    c = cfg.constants()
+    c = PhysConstants()
     spec = _spec_for(args, params)
     report = run(spec, cfg, c)
     out = Path(args.out)
@@ -156,10 +144,9 @@ def cmd_sweep(args) -> int:
     def one(job):
         v, scheme_id = job
         cfg = SchemeConfig.from_id(scheme_id, cfl=args.cfl, gate=args.gate)
-        ns = argparse.Namespace(**{**vars(args), "scheme": scheme_id})
         try:
-            spec = _spec_for(ns, {**fixed, name: v})
-            report = run(spec, cfg, cfg.constants())
+            spec = _spec_for(args, {**fixed, name: v})
+            report = run(spec, cfg)
             h_l = report.probes.get("h_l", {}).get("h", float("nan"))
             h_r = report.probes.get("h_r", {}).get("h", float("nan"))
             res = report.residual_history[-1] if len(report.residual_history) else float("nan")
@@ -269,15 +256,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        if hasattr(args, "config"):
-            _apply_config_file(args)
-        return args.func(args)
     except NotImplementedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,9 +11,11 @@ Conventions used throughout the package:
   surface sits at ``eta = h - H``.
 * With these signs the momentum source is ``+ g h dH/dx``.
 
-All operations accept scalars or numpy arrays (broadcast elementwise);
-the oracles ``exact_step_state`` / ``exact_smooth_profile`` are scalar
-root-finding routines.
+All operations accept scalars or numpy arrays (broadcast elementwise)
+and return numpy values; the oracles ``exact_step_state`` /
+``exact_smooth_profile`` are scalar root-finding routines. The cell
+formulas ``cell_velocity`` and ``cell_flux`` take plain float arrays;
+``swelab.kernel`` evaluates every scheme with them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "PhysState",
     "ExtState",
     "EntropyValues",
+    "cell_velocity",
+    "cell_flux",
     "velocity",
     "physical_flux",
     "eigenvalues",
@@ -130,31 +134,35 @@ class EntropyValues:
     G: float | np.ndarray
 
 
-def _scalarize(*vals):
-    out = tuple(float(v) if np.ndim(v) == 0 else v for v in vals)
-    return out if len(out) > 1 else out[0]
+def cell_velocity(h: np.ndarray, q: np.ndarray, h_dry: float) -> np.ndarray:
+    """q/h, exactly zero at and below the dry threshold."""
+    wet = h > h_dry
+    if wet.all():
+        return q / h
+    return np.where(wet, q / np.maximum(h, h_dry), 0.0)
 
 
-def _check_nonnegative_depth(h):
-    if np.any(np.asarray(h) < 0):
+def cell_flux(h: np.ndarray, q: np.ndarray, g: float, h_dry: float):
+    """``cell_velocity`` and the exact flux (q, q u + g h^2/2), the flux
+    dividing by h down to zero depth; the empty cell has flux (0, 0)."""
+    if (h > h_dry).all():
+        u = q / h
+        return u, q, q * u + 0.5 * g * h * h
+    if (h < 0).any():
         raise ValueError("negative water thickness")
+    wet = h > 0
+    u_flux = np.where(wet, q / np.maximum(h, 1e-300), 0.0)
+    return np.where(h > h_dry, u_flux, 0.0), q * wet, q * u_flux + 0.5 * g * h * h
 
 
 def velocity(w: PhysState, c: PhysConstants):
-    """Depth-averaged velocity q/h; exactly zero at and below the dry threshold."""
-    h = np.asarray(w.h, dtype=float)
-    q = np.asarray(w.q, dtype=float)
-    u = np.where(h > c.h_dry, q / np.maximum(h, c.h_dry), 0.0)
-    return _scalarize(u)
+    """Depth-averaged velocity (``cell_velocity``)."""
+    return cell_velocity(np.asarray(w.h, float), np.asarray(w.q, float), c.h_dry)
 
 
 def physical_flux(w: PhysState, c: PhysConstants):
-    """Exact flux (q, q^2/h + g h^2 / 2); the dry state maps to (0, 0)."""
-    _check_nonnegative_depth(w.h)
-    h = np.asarray(w.h, dtype=float)
-    q = np.asarray(w.q, dtype=float)
-    u = np.where(h > 0, q / np.maximum(h, 1e-300), 0.0)
-    return _scalarize(q * np.where(h > 0, 1.0, 0.0), q * u + 0.5 * c.g * h * h)
+    """Exact flux (q, q^2/h + g h^2 / 2) (``cell_flux``), never aliasing ``w.q``."""
+    return cell_flux(np.asarray(w.h, float), np.array(w.q, float), c.g, c.h_dry)[1:]
 
 
 def eigenvalues(w: PhysState, c: PhysConstants):
@@ -163,10 +171,11 @@ def eigenvalues(w: PhysState, c: PhysConstants):
     The third, identically-zero eigenvalue of the extended (h, q, H)
     system is implicit. Dry states return (0, 0).
     """
-    _check_nonnegative_depth(w.h)
-    u = np.asarray(velocity(w, c))
+    if np.any(np.asarray(w.h) < 0):
+        raise ValueError("negative water thickness")
+    u = velocity(w, c)
     cel = np.sqrt(c.g * np.asarray(w.h, dtype=float))
-    return _scalarize(u - cel, u + cel)
+    return u - cel, u + cel
 
 
 def froude_squared(w: PhysState, c: PhysConstants):
@@ -175,7 +184,7 @@ def froude_squared(w: PhysState, c: PhysConstants):
     if np.any(h <= c.h_dry):
         raise DryStateError("froude_squared needs a wet state")
     u = np.asarray(w.q, dtype=float) / h
-    return _scalarize(u * u / (c.g * h))
+    return u * u / (c.g * h)
 
 
 def riemann_invariant(W: ExtState, c: PhysConstants):
@@ -184,7 +193,7 @@ def riemann_invariant(W: ExtState, c: PhysConstants):
     if np.any(h <= c.h_dry):
         raise DryStateError("riemann_invariant needs a wet state")
     q = np.asarray(W.q, dtype=float)
-    return _scalarize(q + 0.0, h + q * q / (2.0 * c.g * h * h) - W.H)
+    return q + 0.0, h + q * q / (2.0 * c.g * h * h) - W.H
 
 
 def entropy_pair(W: ExtState, c: PhysConstants) -> EntropyValues:
@@ -198,7 +207,6 @@ def entropy_pair(W: ExtState, c: PhysConstants) -> EntropyValues:
     u = np.where(h > 0, q / np.maximum(h, 1e-300), 0.0)
     eta = 0.5 * h * u * u + 0.5 * c.g * h * h - c.g * h * np.asarray(W.H, dtype=float)
     G = (0.5 * u * u + c.g * h) * h * u - c.g * h * u * np.asarray(W.H, dtype=float)
-    eta, G = _scalarize(eta, G)
     return EntropyValues(eta=eta, G=G)
 
 

@@ -44,21 +44,22 @@ __all__ = [
 
 @dataclass
 class HRInterface:
-    """Reconstructed interface: bottom level, one-sided states, flags."""
+    """Reconstructed interface: bottom level, one-sided states, large-step flags."""
 
     H_star: float | np.ndarray
     w_minus: PhysState
     w_plus: PhysState
     large_step: bool | np.ndarray
-    gate_applied: bool | np.ndarray = False
 
 
 @dataclass
 class HRCorrections:
-    """Momentum corrections added to the HR source split; zero outside large steps."""
+    """Momentum corrections added to the HR source split, zero outside large
+    steps, and where the energy gate let the fluid climb an emerging bottom."""
 
     T_minus: float | np.ndarray
     T_plus: float | np.ndarray
+    gate_applied: bool | np.ndarray
 
 
 def _arrays(W_l: ExtState, W_r: ExtState):
@@ -90,16 +91,14 @@ def hr_source(W_l: ExtState, W_r: ExtState, iface: HRInterface,
 def modified_hr_corrections(W_l: ExtState, W_r: ExtState, iface: HRInterface,
                             gate: str, c: PhysConstants) -> HRCorrections:
     """Large-step corrections T+- (``kernel.large_step_corrections``), zero
-    outside large steps; the gate keeps rest against a dry bank. Sets
-    ``iface.gate_applied``."""
+    outside large steps; the gate keeps rest against a dry bank."""
     hl, Hl, hr, Hr = _arrays(W_l, W_r)
     hm, hp = _depths(iface)
-    ul, ur = (np.asarray(velocity(W.state, c), float) for W in (W_l, W_r))
+    ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     recon = (np.asarray(iface.H_star, float), hm, hp, np.asarray(iface.large_step))
     split = kernel.hr_source(hl, hr, hm, hp, c.g)
-    T_minus, T_plus, iface.gate_applied = kernel.large_step_corrections(
-        hl, ul, Hl, hr, ur, Hr, recon, split, c.g, c.h_dry, gate)
-    return HRCorrections(T_minus=T_minus, T_plus=T_plus)
+    return HRCorrections(*kernel.large_step_corrections(
+        hl, ul, Hl, hr, ur, Hr, recon, split, c.g, c.h_dry, gate))
 
 
 def hr_interface_terms(W_l: ExtState, W_r: ExtState, flux: FluxKind, variant: str,
@@ -113,17 +112,16 @@ def hr_interface_terms(W_l: ExtState, W_r: ExtState, flux: FluxKind, variant: st
     """
     if variant not in ("original", "modified"):
         raise ValueError(f"unknown HR variant {variant!r}")
+    kernel.check_gate(gate)
     omega_ab = None
     if flux.name == "omega":
         if dx is None or dt is None:
             raise ValueError("omega fluxes need dx and dt")
         omega_ab = kernel.omega_coefficients(flux.omega(cfl), dx, dt)
-    iface = hr_reconstruct(W_l, W_r, c)
-    if variant == "modified":
-        modified_hr_corrections(W_l, W_r, iface, gate, c)  # sets iface.gate_applied
     hl, Hl, hr, Hr = _arrays(W_l, W_r)
     ql, qr = np.asarray(W_l.q, float), np.asarray(W_r.q, float)
     F, (_, minus), (_, plus) = kernel.hydrostatic(
         hl, ql, Hl, hr, qr, Hr, c.g, c.h_dry, variant == "modified", gate, omega_ab)
     zero = np.zeros_like(hl + hr)
-    return F, SourceSplit(minus=(zero, minus), plus=(zero, plus)), iface
+    split = SourceSplit(minus=(zero, minus), plus=(zero, plus))
+    return F, split, hr_reconstruct(W_l, W_r, c)

@@ -3,45 +3,34 @@
 The one place where the fluxes, source splits and hydrostatic
 reconstruction are written down: ``solver.step`` calls the three scheme
 functions at the bottom, and ``fluxes``, ``sources`` and ``hydrostatic``
-wrap the same formulas as object-level functions.
+wrap the same formulas as object-level functions. The cell formulas
+(velocity and physical flux) come from ``swelab.core``.
 
 A scheme function takes the states on both sides of every interface
 (``hl, ql, Hl`` and ``hr, qr, Hr``: equal-length or 0-d float arrays)
 and returns ``(F, S-, S+)``, each a (mass, momentum) pair; S- goes to
 the left cell, S+ to the right one, and a mass part of ``None`` is
-zero. Dry/dry interfaces use the dummy wet state (1, 0) and are zeroed
-(``DryInterfaceError`` if all are dry). Masks and substitutions are
-skipped where they would change nothing.
+zero. Interfaces the flux cannot see (dry on both sides, and for the
+hydrostatic reconstruction also two empty or damp reconstructed
+columns) are computed against the dummy wet state (1, 0) and zeroed;
+the upwind schemes raise ``DryInterfaceError`` if every interface is
+dry. Masks and substitutions are skipped where they would change
+nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from swelab.core import DryInterfaceError
+from swelab.core import DryInterfaceError, cell_flux, cell_velocity
 
 GATE_POLICIES = ("dimensional", "as-printed")
 
 
-def velocity(h, q, h_dry):
-    """q/h, exactly zero at and below the dry threshold."""
-    wet = h > h_dry
-    if wet.all():
-        return q / h
-    return np.where(wet, q / np.maximum(h, h_dry), 0.0)
-
-
-def _velocity_and_flux(h, q, g, h_dry):
-    """Velocity and physical flux (q, q u + g h^2/2), the flux dividing
-    by h down to zero depth (as ``core.physical_flux`` does)."""
-    if (h > h_dry).all():
-        u = q / h
-        return u, q, q * u + 0.5 * g * h * h
-    if (h < 0).any():
-        raise ValueError("negative water thickness")
-    wet = h > 0
-    u_flux = np.where(wet, q / np.maximum(h, 1e-300), 0.0)
-    return np.where(h > h_dry, u_flux, 0.0), q * wet, q * u_flux + 0.5 * g * h * h
+def check_gate(gate):
+    """Reject a gate policy outside ``GATE_POLICIES``."""
+    if gate not in GATE_POLICIES:
+        raise ValueError(f"unknown gate policy {gate!r}")
 
 
 def pressure(h, g):
@@ -49,15 +38,17 @@ def pressure(h, g):
     return 0.5 * g * h * h
 
 
-def wet_pairs(hl, ql, hr, qr, h_dry):
-    """The dummy wet state (1, 0) on both sides of dry/dry interfaces,
-    and the wet mask (None, arrays unchanged, when no interface is dry)."""
-    wet = (hl > h_dry) | (hr > h_dry)
-    if wet.all():
+def wet_pairs(hl, ql, hr, qr, h_dry, live=None):
+    """The dummy wet state (1, 0) on both sides of the interfaces that are
+    not ``live``, and the mask (None, arrays unchanged, when all are).
+    ``live`` defaults to the interfaces with a wet side, and one is needed."""
+    if live is None:
+        live = (hl > h_dry) | (hr > h_dry)
+        if not live.any():
+            raise DryInterfaceError("dry interface")
+    if live.all():
         return hl, ql, hr, qr, None
-    if not wet.any():
-        raise DryInterfaceError("dry interface")
-    return (*(np.where(wet, a, d) for a, d in ((hl, 1.0), (ql, 0.0), (hr, 1.0), (qr, 0.0))), wet)
+    return (*(np.where(live, a, d) for a, d in ((hl, 1.0), (ql, 0.0), (hr, 1.0), (qr, 0.0))), live)
 
 
 def _masked(wet, pair):
@@ -100,13 +91,13 @@ def omega_coefficients(omega, dx, dt):
     return (1.0 - omega) * dx / dt, omega * dt / dx
 
 
-def flux(hl, ql, hr, qr, g, h_dry, omega_ab=None):
+def flux(hl, ql, hr, qr, g, h_dry, omega_ab=None, live=None):
     """Roe flux 1/2 (F_l + F_r) - 1/2 |J| (w_r - w_l), or with ``omega_ab = (a, b)``
-    1/2 (F_l + F_r) - 1/2 (a Id + b J^2) (w_r - w_l); with the Roe average
-    (u, c) it used and the wet mask."""
-    hl, ql, hr, qr, wet = wet_pairs(hl, ql, hr, qr, h_dry)
-    ul, fl0, fl1 = _velocity_and_flux(hl, ql, g, h_dry)
-    ur, fr0, fr1 = _velocity_and_flux(hr, qr, g, h_dry)
+    1/2 (F_l + F_r) - 1/2 (a Id + b J^2) (w_r - w_l), zero off ``live`` (see
+    ``wet_pairs``); with the Roe average (u, c) it used and the mask."""
+    hl, ql, hr, qr, wet = wet_pairs(hl, ql, hr, qr, h_dry, live)
+    ul, fl0, fl1 = cell_flux(hl, ql, g, h_dry)
+    ur, fr0, fr1 = cell_flux(hr, qr, g, h_dry)
     u, c = roe_mean(hl, hr, ul, ur, g)
     d0, d1 = hr - hl, qr - ql
     if omega_ab is None:
@@ -184,8 +175,7 @@ def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
     full step. At an emerging bottom (one side dry below the opposite
     bottom level) it applies only if the energy gate lets the fluid climb.
     """
-    if gate not in GATE_POLICIES:
-        raise ValueError(f"unknown gate policy {gate!r}")
+    check_gate(gate)
     H_star, hm, hp, large = recon
     dry_l, dry_r = hl <= h_dry, hr <= h_dry
     apply, gated = large, np.zeros_like(large)
@@ -220,9 +210,9 @@ def omega_upwind(hl, ql, Hl, hr, qr, Hr, g, h_dry, omega_ab):
 def hydrostatic(hl, ql, Hl, hr, qr, Hr, g, h_dry, modified, gate, omega_ab=None):
     """Hydrostatic reconstruction over the Roe flux, or an omega flux with
     ``omega_ab = (a, b)``; ``modified`` adds the large-step corrections.
-    The flux is zero where both reconstructed columns are empty (e.g. rest
-    against a bank); they are computed against the dummy wet state."""
-    ul, ur = velocity(hl, ql, h_dry), velocity(hr, qr, h_dry)
+    The flux is zero unless a side is wet and so is a reconstructed column
+    (``live``; not, e.g., at rest against a bank), the sources unless a side is."""
+    ul, ur = cell_velocity(hl, ql, h_dry), cell_velocity(hr, qr, h_dry)
     recon = hr_depths(hl, Hl, hr, Hr)
     _, hm, hp, large = recon
     minus, plus = split = hr_source(hl, hr, hm, hp, g)
@@ -230,12 +220,9 @@ def hydrostatic(hl, ql, Hl, hr, qr, Hr, g, h_dry, modified, gate, omega_ab=None)
         t_minus, t_plus, _ = large_step_corrections(
             hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
         minus, plus = minus + t_minus, plus + t_plus
-    pair, empty = (hm, hm * ul, hp, hp * ur), (hm <= 0) & (hp <= 0)
-    filled = ~empty if empty.any() else None
-    if filled is not None:
-        pair = tuple(np.where(filled, a, d) for a, d in zip(pair, (1.0, 0.0, 1.0, 0.0)))
-    F = _masked(filled, flux(*pair, g, h_dry, omega_ab)[0])
     wet = (hl > h_dry) | (hr > h_dry)
+    live = wet & ((hm > h_dry) | (hp > h_dry))
+    F = flux(hm, hm * ul, hp, hp * ur, g, h_dry, omega_ab, live)[0]
     if wet.all():
         wet = None
-    return _masked(wet, F), _masked(wet, (None, minus)), _masked(wet, (None, plus))
+    return F, _masked(wet, (None, minus)), _masked(wet, (None, plus))

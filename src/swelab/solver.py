@@ -101,13 +101,13 @@ class SchemeConfig:
     source: str  # 'upwind' | 'hr' | 'modified-hr'
     cfl: float = 0.9
     gate: str = "dimensional"
-    h_dry: float = 1e-8
 
     def __post_init__(self):
         if self.source not in ("upwind", "hr", "modified-hr"):
             raise ValueError(f"unknown source treatment {self.source!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("CFL must lie in (0, 1]")
+        kernel.check_gate(self.gate)
 
     @classmethod
     def from_id(cls, scheme_id: str, **kw) -> "SchemeConfig":
@@ -119,8 +119,10 @@ class SchemeConfig:
             raise NotImplementedError(f"scheme {scheme_id!r}: {entry['label']}")
         return cls(scheme=scheme_id, flux=entry["flux"], source=entry["source"], **kw)
 
-    def constants(self) -> PhysConstants:
-        return PhysConstants(h_dry=self.h_dry)
+
+# The boundary values each ghost-cell rule imposes.
+_BC_VALUES = {"open": (), "discharge": ("q",), "depth": ("h",), "both": ("h", "q"),
+              "periodic": ()}
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,13 @@ class BoundaryCondition:
     kind: str  # 'open' | 'discharge' | 'depth' | 'both' | 'periodic'
     h: float | None = None
     q: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in _BC_VALUES:
+            raise ValueError(f"unknown boundary kind {self.kind!r}")
+        missing = [k for k in _BC_VALUES[self.kind] if getattr(self, k) is None]
+        if missing:
+            raise ValueError(f"a {self.kind!r} boundary needs {' and '.join(missing)}")
 
     @classmethod
     def open(cls):
@@ -280,10 +289,9 @@ def _ghost(state: SimState, bc: BoundaryCondition, i_near: int, i_far: int):
     """(h, q, H) of one ghost cell; ghost H copies the interior value."""
     if bc.kind == "periodic":
         return state.h[i_far], state.q[i_far], state.H[i_far]
-    if bc.kind not in ("open", "discharge", "depth", "both"):
-        raise ValueError(f"unknown boundary kind {bc.kind!r}")
-    h = bc.h if bc.kind in ("depth", "both") else state.h[i_near]
-    q = bc.q if bc.kind in ("discharge", "both") else state.q[i_near]
+    given = _BC_VALUES[bc.kind]
+    h = bc.h if "h" in given else state.h[i_near]
+    q = bc.q if "q" in given else state.q[i_near]
     return h, q, state.H[i_near]
 
 
@@ -369,7 +377,7 @@ def initial_state(spec: SimSpec, c: PhysConstants) -> SimState:
     return SimState(0.0, h, q, H)
 
 
-def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants | None = None,
+def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         track_entropy: bool = False, metadata: dict | None = None) -> RunReport:
     """March a simulation to its stop rule.
 
@@ -379,8 +387,6 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants | None = None,
     falls below tol * (first residual + 1e-30). The report's
     ``stop_reason`` says which rule ended the run.
     """
-    if c is None:
-        c = cfg.constants()
     state = initial_state(spec, c)
     grid = spec.grid
     stop = spec.stop
@@ -450,7 +456,7 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants | None = None,
     meta.setdefault("n_cells", grid.n_cells)
     meta.setdefault("cfl", cfg.cfl)
     meta.setdefault("gate", cfg.gate)
-    meta.setdefault("h_dry", cfg.h_dry)
+    meta.setdefault("h_dry", c.h_dry)
     meta.setdefault("omega_split_form", resolved_split_form())
     return RunReport(
         metadata=meta,

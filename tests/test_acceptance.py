@@ -439,7 +439,7 @@ def test_criterion_09_entropy():
         Wr = ExtState(PhysState(0.0, 0.0), Hr)
         iface = hr_reconstruct(Wl, Wr, C)
         corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", C)
-        if not np.any(iface.gate_applied):
+        if not np.any(corr.gate_applied):
             continue
         # both reconstructed columns are empty here, so the flux is zero
         # and the condition reduces to the sign of u T

@@ -120,6 +120,28 @@ def test_config_file_fills_defaults(tmp_path):
                      "--config", str(bad)]) == 2
 
 
+def test_command_line_flags_win_over_the_config_file(tmp_path):
+    """A flag given at its default value still beats the file."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("cfl = 0.5\ncells = 30\nuntil = time=0.05\n")
+    rc = cli.main(["run", "--test", "3", "--scheme", "roe", "--cfl", "0.9",
+                   "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["metadata"]["cfl"] == 0.9
+    assert summary["metadata"]["n_cells"] == 30
+
+
+def test_config_file_values_meet_the_flag_checks(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("gate = typo\ncells = 30\nuntil = time=0.05\n")
+    assert cli.main(["run", "--test", "3", "--scheme", "roe",
+                     "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert "typo" in capsys.readouterr().err
+    assert cli.main(["run", "--test", "3", "--scheme", "roe",
+                     "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
 def test_snapshot_round_trips_at_full_precision(tmp_path):
     rc = cli.main([
         "run", "--test", "2", "--scheme", "roe", "--cells", "30",

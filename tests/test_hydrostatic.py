@@ -125,7 +125,7 @@ def test_rest_against_dry_bank_keeps_original(c):
     assert bool(iface.large_step)
     corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
     assert corr.T_minus == 0.0 and corr.T_plus == 0.0
-    assert not np.any(iface.gate_applied)
+    assert not np.any(corr.gate_applied)
 
 
 def test_gate_fires_for_energetic_inflow(c):
@@ -135,13 +135,13 @@ def test_gate_fires_for_energetic_inflow(c):
     iface = hr_reconstruct(Wl, Wr, c)
     assert bool(iface.large_step)
     corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
-    assert bool(np.any(iface.gate_applied))
+    assert bool(np.any(corr.gate_applied))
     assert corr.T_minus != 0.0
     # flow pointing away from the step never opens the gate
     Wl_away = ExtState(PhysState(0.5, -0.5 * 8.0), 0.5)
     iface2 = hr_reconstruct(Wl_away, Wr, c)
     corr2 = modified_hr_corrections(Wl_away, Wr, iface2, "dimensional", c)
-    assert corr2.T_minus == 0.0 and not np.any(iface2.gate_applied)
+    assert corr2.T_minus == 0.0 and not np.any(corr2.gate_applied)
 
 
 def test_gate_policies_can_disagree(c):
@@ -160,8 +160,8 @@ def test_gate_policies_can_disagree(c):
         fired = {}
         for policy in ("dimensional", "as-printed"):
             iface = hr_reconstruct(Wl, Wr, c)
-            modified_hr_corrections(Wl, Wr, iface, policy, c)
-            fired[policy] = bool(np.any(iface.gate_applied))
+            corr = modified_hr_corrections(Wl, Wr, iface, policy, c)
+            fired[policy] = bool(np.any(corr.gate_applied))
         disagreement += fired["dimensional"] != fired["as-printed"]
     assert disagreement > 0
 
@@ -180,6 +180,14 @@ def test_hr_interface_terms_validation(c):
         hr_interface_terms(W, W, ROE, "upgraded", c)
     with pytest.raises(ValueError):
         hr_interface_terms(W, W, FluxKind("omega", "force"), "original", c)  # no dx/dt
+
+
+def test_hr_interface_terms_rejects_unknown_gate(c):
+    """Without a large step no correction runs, yet a bad gate still fails."""
+    W = ExtState(PhysState(0.5, 0.1), 0.2)
+    for variant in ("original", "modified"):
+        with pytest.raises(ValueError, match="gate"):
+            hr_interface_terms(W, W, ROE, variant, c, gate="typo")
 
 
 def test_hr_interface_terms_omega_flux(c):

@@ -268,9 +268,8 @@ def test_one_step_cases_reach_their_branches(step_reference):
                         ("gate-split", ("dimensional",))):
         W_l, W_r = _pairs(name, ref)
         for policy in GATE_POLICIES:
-            iface = hr_reconstruct(W_l, W_r, C)
-            modified_hr_corrections(W_l, W_r, iface, policy, C)
-            assert bool(np.any(iface.gate_applied)) == (policy in fires), (name, policy)
+            corr = modified_hr_corrections(W_l, W_r, hr_reconstruct(W_l, W_r, C), policy, C)
+            assert bool(np.any(corr.gate_applied)) == (policy in fires), (name, policy)
     W_l, W_r = _pairs("sonic", ref)
     roe = roe_average(W_l.state, W_r.state, C)
     assert np.any(np.abs(roe.u - roe.c) < lambda_floor(roe.u, roe.c))

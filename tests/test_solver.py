@@ -79,6 +79,24 @@ def test_scheme_config_rejects_bad_input():
         SchemeConfig(scheme="x", flux=FluxKind("roe"), source="splitting")
 
 
+def test_scheme_config_rejects_unknown_gate():
+    """A bad gate fails when the configuration is built, whatever the scheme."""
+    for name in ("roe", "modified-hr"):
+        with pytest.raises(ValueError, match="gate"):
+            SchemeConfig.from_id(name, gate="typo")
+
+
+def test_boundary_condition_checks_kind_and_values():
+    """A rule fails when it is built, not steps later as a non-finite state."""
+    with pytest.raises(ValueError, match="kind"):
+        BoundaryCondition("inflow")
+    for kind in ("depth", "discharge", "both"):
+        with pytest.raises(ValueError, match="needs"):
+            BoundaryCondition(kind)
+    with pytest.raises(ValueError, match="needs q"):
+        BoundaryCondition("both", h=1.0)
+
+
 def test_stop_rule_validation():
     with pytest.raises(ValueError):
         StopRule()
@@ -224,6 +242,11 @@ def test_run_probes_and_summary():
     s = report.summary()
     assert s["n_steps"] == report.n_steps
     assert s["probes"]["mid"]["x"] == pytest.approx(report.probes["mid"]["x"])
+
+
+def test_run_records_the_dry_threshold_it_stepped_with():
+    report = run(_rest_spec(), SchemeConfig.from_id("roe"), PhysConstants(h_dry=1e-6))
+    assert report.metadata["h_dry"] == 1e-6
 
 
 def test_registry_has_named_unimplemented_slot():
