@@ -1,9 +1,8 @@
 """Command-line front end: run | sweep | convergence | list-schemes.
 
 Outputs are CSV (17 significant digits, lossless round-trip) and JSON
-with a fixed key order, so identical flags give byte-identical files;
-sweeps may run concurrently (--jobs) but rows are emitted in parameter
-order.
+with a fixed key order, so identical flags give byte-identical files.
+Sweeps and convergence ladders run one member after another, in order.
 
 ``--config FILE`` reads ``key = value`` lines as ``--key=value`` flags
 placed before the command line's own: the command line wins, repeatable
@@ -71,8 +70,8 @@ def _config_flags(path):
     return out
 
 
-def _scheme_config(args) -> SchemeConfig:
-    return SchemeConfig.from_id(args.scheme, cfl=args.cfl, gate=args.gate)
+def _scheme_config(args, scheme_id) -> SchemeConfig:
+    return SchemeConfig.from_id(scheme_id, cfl=args.cfl, gate=args.gate)
 
 
 def _spec_for(args, params):
@@ -112,7 +111,7 @@ def _summary_dict(report: RunReport, args, params) -> dict:
 
 def cmd_run(args) -> int:
     params = _parse_params(args.param)
-    cfg = _scheme_config(args)
+    cfg = _scheme_config(args, args.scheme)
     c = PhysConstants()
     spec = _spec_for(args, params)
     report = run(spec, cfg, c)
@@ -126,7 +125,8 @@ def cmd_run(args) -> int:
     print(
         f"test {args.test} scheme {args.scheme} cells {spec.grid.n_cells}: "
         f"t={report.final_time:.6g} steps={report.n_steps} "
-        f"steady={report.steady_reached} clips={report.clip_events}"
+        f"steady={report.steady_reached} stop={report.stop_reason} "
+        f"clips={report.clip_events}"
         + (f" {probes}" if probes else "")
     )
     return 0
@@ -137,27 +137,22 @@ def cmd_sweep(args) -> int:
     vals = [float(v) for v in values.split(",") if v.strip()]
     if not vals:
         raise ValueError("empty sweep value list")
-    schemes = args.scheme
+    # every scheme is checked before the first run; a repeated one runs twice
+    cfgs = [_scheme_config(args, s) for s in args.scheme]
     fixed = _parse_params(args.param)
-    jobs = [(v, s) for v in vals for s in schemes]
-
-    def one(job):
-        v, scheme_id = job
-        cfg = SchemeConfig.from_id(scheme_id, cfl=args.cfl, gate=args.gate)
-        try:
-            spec = _spec_for(args, {**fixed, name: v})
-            report = run(spec, cfg)
-            h_l = report.probes.get("h_l", {}).get("h", float("nan"))
-            h_r = report.probes.get("h_r", {}).get("h", float("nan"))
-            res = report.residual_history[-1] if len(report.residual_history) else float("nan")
-            return (v, scheme_id, h_l, h_r, res, report.steady_reached, "")
-        except Exception as exc:  # recorded per row, sweep continues
-            return (v, scheme_id, float("nan"), float("nan"), float("nan"), False,
-                    f"{type(exc).__name__}: {exc}")
-
-    import concurrent.futures  # here so a plain run never loads it (~0.6 MB)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(one, jobs))
+    rows = []
+    for v in vals:
+        for cfg in cfgs:
+            try:
+                spec = _spec_for(args, {**fixed, name: v})
+                report = run(spec, cfg)
+                h_l = report.probes.get("h_l", {}).get("h", float("nan"))
+                h_r = report.probes.get("h_r", {}).get("h", float("nan"))
+                res = report.residual_history[-1] if len(report.residual_history) else float("nan")
+                rows.append((v, cfg.scheme, h_l, h_r, res, report.steady_reached, ""))
+            except Exception as exc:  # recorded per row, sweep continues
+                rows.append((v, cfg.scheme, float("nan"), float("nan"), float("nan"), False,
+                             f"{type(exc).__name__}: {exc}"))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,7 +162,7 @@ def cmd_sweep(args) -> int:
         for v, s, hl, hr, res, met, err in rows:
             f.write(f"{_fmt(v)},{s},{_fmt(hl)},{_fmt(hr)},{_fmt(res)},{int(met)},{err}\n")
     failures = sum(1 for r in rows if r[-1])
-    print(f"sweep {name} over {len(vals)} values x {len(schemes)} schemes -> {path}"
+    print(f"sweep {name} over {len(vals)} values x {len(cfgs)} schemes -> {path}"
           + (f" ({failures} failed rows)" if failures else ""))
     return 0
 
@@ -176,6 +171,9 @@ def cmd_convergence(args) -> int:
     if args.test != 6:
         raise ValueError("convergence studies are defined for test 6")
     params = _parse_params(args.param)
+    # every scheme is checked before the first run; a repeated one runs twice
+    cfgs = [_scheme_config(args, s) for s in args.scheme]
+    p = {**PARAM_DEFAULTS[6], **params}
     meshes = _FULL_LADDER if args.full_ladder else _LADDER
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,9 +181,7 @@ def cmd_convergence(args) -> int:
     needed = {}
     with rows_path.open("w") as f:
         f.write("scheme,dH,dl,n_cells,l1_error,met_bound\n")
-        for scheme_id in args.scheme:
-            cfg = SchemeConfig.from_id(scheme_id, cfl=args.cfl, gate=args.gate)
-            p = {**PARAM_DEFAULTS[6], **params}
+        for cfg in cfgs:
             rows, cells = convergence_study(
                 lambda n: build_preset(6, n_cells=n, **params),
                 cfg,
@@ -193,9 +189,9 @@ def cmd_convergence(args) -> int:
                 bound=args.bound,
                 meshes=meshes,
             )
-            needed[scheme_id] = cells
+            needed[cfg.scheme] = cells
             for r in rows:
-                f.write(f"{scheme_id},{_fmt(p['dH'])},{_fmt(p['dl'])},"
+                f.write(f"{cfg.scheme},{_fmt(p['dH'])},{_fmt(p['dl'])},"
                         f"{r.n_cells},{_fmt(r.l1_error)},{int(r.met_bound)}\n")
     (out / "cells_needed.json").write_text(
         json.dumps({"bound": args.bound,
@@ -241,7 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="one run per parameter value per scheme")
     common(sp, scheme_multi=True)
     sp.add_argument("--sweep", required=True, metavar="K=V1,V2,...")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, choices=[1], default=1,
+                    help="runs are serial (threads measured slower); accepts only 1, "
+                         "kept for scripts that pass it")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("convergence", help="mesh-ladder L1 study (test 6)")

@@ -74,34 +74,28 @@ def l1_error(h_num, h_exact, dx: float) -> float:
     return float(dx * np.sum(np.abs(a - b)))
 
 
-def well_balance_residual(state: SimState, cfg: SchemeConfig, c: PhysConstants,
-                          grid: Grid | None = None,
-                          bc_left: BoundaryCondition | None = None,
-                          bc_right: BoundaryCondition | None = None) -> float:
+def well_balance_residual(state: SimState, cfg: SchemeConfig, c: PhysConstants) -> float:
     """Max one-step update magnitude |dh| + |dq| at dt = cfl_dt.
 
-    Zero (to round-off) exactly on the scheme's discrete steady states;
-    defaults to a unit-dx grid with open boundaries.
+    One step on a unit-dx grid with open boundaries; zero (to round-off)
+    exactly on the scheme's discrete steady states.
     """
-    if grid is None:
-        grid = Grid(0.0, float(len(state.h)), len(state.h))
-    bc_left = bc_left or BoundaryCondition.open()
-    bc_right = bc_right or BoundaryCondition.open()
+    grid = Grid(0.0, float(len(state.h)), len(state.h))
+    bc = BoundaryCondition.open()
     dt = cfl_dt(state, cfg, grid, c)
-    after, _ = step(state, cfg, grid, bc_left, bc_right, dt, c)
+    after, _ = step(state, cfg, grid, bc, bc, dt, c)
     return float(np.max(np.abs(after.h - state.h) + np.abs(after.q - state.q)))
 
 
 def entropy_interface_check(W_l: ExtState, W_r: ExtState, iface: HRInterface,
                             F, c: PhysConstants, T_minus=0.0, T_plus=0.0,
-                            tol: float = _ENTROPY_TOL,
-                            H_star=None) -> EntropyCheck:
+                            tol: float = _ENTROPY_TOL) -> EntropyCheck:
     """Evaluate the sufficient entropy condition at reconstructed interfaces.
 
     ``F`` is the homogeneous flux pair (F^h, F^q) evaluated at the
     reconstructed states; ``T_minus``/``T_plus`` are the large-step
     corrections of the modified reconstruction (leave at zero for the
-    original one). ``H_star`` defaults to the reconstruction level.
+    original one). H* is the reconstruction level ``iface.H_star``.
 
     E_l = F^h (g(h_l - h*_l - H_l + H*) + (u*_l)^2/2 - u_l^2/2)
           + (u_l - u*_l)(F^q - p(h*_l)) - u_l T_minus,
@@ -111,8 +105,6 @@ def entropy_interface_check(W_l: ExtState, W_r: ExtState, iface: HRInterface,
     satisfied iff E_l >= -tol and E_r <= +tol.
     """
     g = c.g
-    if H_star is None:
-        H_star = iface.H_star
     Fh = np.asarray(F[0], float)
     Fq = np.asarray(F[1], float)
     hl = np.asarray(W_l.h, float)
@@ -123,7 +115,7 @@ def entropy_interface_check(W_l: ExtState, W_r: ExtState, iface: HRInterface,
     hp = np.asarray(iface.w_plus.h, float)
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     um, up = velocity(iface.w_minus, c), velocity(iface.w_plus, c)
-    Hs = np.asarray(H_star, float)
+    Hs = np.asarray(iface.H_star, float)
     E_l = (
         Fh * (g * (hl - hm - Hl + Hs) + 0.5 * um * um - 0.5 * ul * ul)
         + (ul - um) * (Fq - pressure(hm, g))
@@ -179,25 +171,25 @@ def entropy_production_total(before: SimState, after: SimState, dt: float, dx: f
 
 def convergence_study(spec_family: Callable[[int], SimSpec], cfg: SchemeConfig,
                       exact: Callable[[np.ndarray], np.ndarray], bound: float,
-                      meshes: Sequence[int] = (100, 200, 400, 800, 1600, 3200),
-                      c: PhysConstants = PhysConstants(),
+                      meshes: Sequence[int], c: PhysConstants = PhysConstants(),
                       max_workers: int = 1):
     """L1(h) error against an exact profile over a mesh ladder.
 
-    Each mesh runs its SimSpec to its stop rule; the error is measured
-    on the final state against ``exact`` sampled at the cell centers.
-    Returns (rows, cells_needed), with cells_needed = None when no mesh
-    meets the bound.
+    Each mesh runs its SimSpec to its stop rule, one after another on
+    the calling thread; the error is measured on the final state against
+    ``exact`` sampled at the cell centers. Returns (rows, cells_needed),
+    with cells_needed = None when no mesh meets the bound.
+    ``max_workers`` accepts only 1: threads were measured slower than
+    the serial loop, and the name stays for callers that pass it.
     """
-    def one(n):
+    if max_workers != 1:
+        raise ValueError(f"max_workers must be 1 (runs are serial), got {max_workers!r}")
+    rows = []
+    for n in meshes:
         spec = spec_family(n)
         rep = run(spec, cfg, c)
         x = spec.grid.centers()
         err = l1_error(rep.final.h, exact(x), spec.grid.dx)
-        return ConvergenceRow(n_cells=n, l1_error=err, met_bound=err <= bound)
-
-    import concurrent.futures  # here so a plain run never loads it (~0.6 MB)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(one, meshes))
+        rows.append(ConvergenceRow(n_cells=n, l1_error=err, met_bound=err <= bound))
     cells_needed = next((r.n_cells for r in rows if r.met_bound), None)
     return rows, cells_needed

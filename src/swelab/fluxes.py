@@ -74,15 +74,6 @@ class RoeData:
     def lam(self):
         return (self.u - self.c, self.u + self.c)
 
-    def apply_J(self, v0, v1):
-        """J @ (v0, v1)."""
-        return kernel.apply_jacobian(self.u, self.c, v0, v1)
-
-    def apply_absJ(self, v0, v1):
-        """|J| @ (v0, v1), |J| = K |Lambda| K^-1."""
-        m00, m01, m10, m11 = kernel.abs_jacobian(self.u, self.c)
-        return m00 * v0 + m01 * v1, m10 * v0 + m11 * v1
-
 
 def _arrays(w_l: PhysState, w_r: PhysState):
     return tuple(np.asarray(a, dtype=float) for a in (w_l.h, w_l.q, w_r.h, w_r.q))

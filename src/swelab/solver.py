@@ -378,7 +378,7 @@ def initial_state(spec: SimSpec, c: PhysConstants) -> SimState:
 
 
 def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
-        track_entropy: bool = False, metadata: dict | None = None) -> RunReport:
+        track_entropy: bool = False) -> RunReport:
     """March a simulation to its stop rule.
 
     The last step before each requested output time is clamped to land
@@ -451,15 +451,9 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         i = int(np.argmin(np.abs(grid.centers() - xp)))
         probes[name] = dict(x=grid.centers()[i], h=state.h[i], q=state.q[i])
 
-    meta = dict(metadata or {})
-    meta.setdefault("scheme", cfg.scheme)
-    meta.setdefault("n_cells", grid.n_cells)
-    meta.setdefault("cfl", cfg.cfl)
-    meta.setdefault("gate", cfg.gate)
-    meta.setdefault("h_dry", c.h_dry)
-    meta.setdefault("omega_split_form", resolved_split_form())
     return RunReport(
-        metadata=meta,
+        metadata=dict(scheme=cfg.scheme, n_cells=grid.n_cells, cfl=cfg.cfl, gate=cfg.gate,
+                      h_dry=c.h_dry, omega_split_form=resolved_split_form()),
         x=grid.centers(),
         H=state.H.copy(),
         snapshots=snapshots,

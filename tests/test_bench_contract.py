@@ -2,8 +2,10 @@
 
 ``bench/tracer.py`` times the program by rebinding module attributes,
 and its traced runs check a mass budget on every step from the
-``StepInfo`` that ``solver.step`` returns. These tests keep that
-working while the program changes underneath.
+``StepInfo`` that ``solver.step`` returns; ``bench/workloads.py``
+passes its worker count to ``swelab sweep --jobs`` and
+``convergence_study(max_workers=...)``. These tests keep that working
+while the program changes underneath.
 """
 
 import importlib
@@ -12,16 +14,18 @@ from pathlib import Path
 
 import pytest
 
+import swelab.cli as cli
 import swelab.solver as solver
-from swelab.presets import build_preset
+from swelab.diagnostics import convergence_study
+from swelab.presets import build_preset, exact_profile
 from swelab.solver import SchemeConfig, SimState, StepInfo, StopRule
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 STEP_FIELDS = ("left_flux", "right_flux", "clip_events", "minor_clip_events", "min_h_pre_clip")
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -38,7 +42,7 @@ def _short_runs():
 
 
 def test_every_traced_binding_resolves():
-    tracer = _tracer_module()
+    tracer = _bench_module("tracer")
     targets = [t for table in (tracer.TIMED, tracer.COUNTED) for ts in table.values() for t in ts]
     for target in targets:
         mod_name, attr = target.split(":")
@@ -68,7 +72,7 @@ def test_run_calls_the_module_step_once_per_step(monkeypatch, case):
 
 
 def test_tracer_sees_every_step():
-    tracer = _tracer_module()
+    tracer = _bench_module("tracer")
     real_step = solver.step
     seen = []
     tr = tracer.Tracer(step_hook=lambda before, after, info, grid, dt: seen.append(
@@ -82,3 +86,16 @@ def test_tracer_sees_every_step():
     assert tr.stats("solver.step")[0] == steps == len(seen)
     assert sum(clips for _, _, clips, _, _ in seen) == sum(r.clip_events for r in reports) > 0
     assert solver.step is real_step
+
+
+def test_workloads_worker_count_is_accepted(tmp_path):
+    workloads = _bench_module("workloads")
+    plateau = workloads.StepPlateau(0, tmp_path)
+    plateau.draw()
+    plateau.build()
+    args = cli._build_parser().parse_args(plateau.argv)
+    assert args.jobs == workloads.WORKERS
+    rows, _ = convergence_study(lambda n: build_preset(6, n_cells=n),
+                                SchemeConfig.from_id("roe"), lambda x: exact_profile(6, x),
+                                bound=0.05, meshes=(20, 25), max_workers=workloads.WORKERS)
+    assert len(rows) == 2

@@ -1,11 +1,13 @@
 """Command-line front end: exit codes, file outputs, determinism."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 import swelab.cli as cli
+import swelab.diagnostics as diagnostics
 
 
 def test_list_schemes(capsys):
@@ -77,6 +79,54 @@ def test_sweep_outputs_ordered_rows(tmp_path):
                    ("0.29999999999999999", "hr"), ("0.29999999999999999", "roe")]
 
 
+def test_sweep_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    threads = []
+    real_run = cli.run
+
+    def recording_run(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    rc = cli.main(["sweep", "--test", "3", "--scheme", "hr", "--scheme", "roe",
+                   "--cells", "20", "--until", "time=0.02", "--sweep", "H_r=0.2,0.3",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert threads == [threading.current_thread()] * 4
+
+
+def test_sweep_jobs_accepts_only_one(tmp_path, capsys):
+    argv = ["sweep", "--test", "3", "--scheme", "hr", "--cells", "20",
+            "--until", "time=0.02", "--sweep", "H_r=0.2", "--out", str(tmp_path)]
+    assert cli.main(argv + ["--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("sweep", ["--sweep", "H_r=0.2,0.3", "--test", "3"]),
+    ("convergence", ["--test", "6"]),
+])
+def test_every_scheme_is_checked_before_the_first_run(tmp_path, monkeypatch, capsys,
+                                                      command, extra):
+    calls = []
+
+    def no_run(*args, **kwargs):  # the sweep records a raised error as a row
+        calls.append(args)
+        raise AssertionError("run called before every scheme was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(diagnostics, "run", no_run)
+    monkeypatch.setattr(cli, "_LADDER", (25, 50))
+    rc = cli.main([command, *extra, "--scheme", "hr", "--scheme", "hllc",
+                   "--cells", "20", "--until", "time=0.02", "--out", str(tmp_path)])
+    assert calls == []
+    assert rc == 2
+    assert "hllc" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_records_failed_rows(tmp_path, capsys):
     rc = cli.main([
         "sweep", "--test", "3", "--scheme", "hr", "--cells", "40",
@@ -102,6 +152,17 @@ def test_convergence_outputs(tmp_path, monkeypatch):
     needed = json.loads((tmp_path / "cells_needed.json").read_text())
     assert needed["bound"] == 0.05
     assert needed["cells_needed"]["roe"] in (25, 50)
+
+
+def test_run_prints_why_it_stopped(tmp_path, capsys):
+    """force-wb on test 5 is still unsteady at the 2.5 s backstop."""
+    rc = cli.main(["run", "--test", "5", "--scheme", "force-wb", "--cells", "50",
+                   "--until", "steady", "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "steady=False stop=max_time " in out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert "stop_reason" not in summary["metadata"]
 
 
 def test_config_file_fills_defaults(tmp_path):

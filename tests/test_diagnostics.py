@@ -1,8 +1,11 @@
 """Error metrics, well-balance residuals and entropy machinery."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import swelab.diagnostics as diagnostics
 from swelab.core import ExtState, PhysConstants, PhysState
 from swelab.diagnostics import (
     convergence_study,
@@ -139,3 +142,29 @@ def test_convergence_study_refines():
         lambda x: exact_profile(6, x), bound=1e-12, meshes=(25,),
     )
     assert none_cells is None
+
+
+def test_convergence_study_runs_on_the_calling_thread(monkeypatch):
+    threads = []
+    real_run = diagnostics.run
+
+    def recording_run(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "run", recording_run)
+    rows, _ = convergence_study(lambda n: build_preset(6, n_cells=n), SchemeConfig.from_id("roe"),
+                                lambda x: exact_profile(6, x), bound=0.05, meshes=(20, 25))
+    assert [r.n_cells for r in rows] == [20, 25]
+    assert threads == [threading.current_thread()] * 2
+
+
+def test_convergence_study_accepts_only_one_worker(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run called with an invalid worker count")
+
+    monkeypatch.setattr(diagnostics, "run", no_run)
+    with pytest.raises(ValueError, match="max_workers"):
+        convergence_study(lambda n: build_preset(6, n_cells=n), SchemeConfig.from_id("roe"),
+                          lambda x: exact_profile(6, x), bound=0.05, meshes=(20,),
+                          max_workers=2)
