@@ -148,9 +148,9 @@ def cmd_sweep(args) -> int:
                 report = run(spec, cfg)
                 h_l = report.probes.get("h_l", {}).get("h", float("nan"))
                 h_r = report.probes.get("h_r", {}).get("h", float("nan"))
-                res = report.residual_history[-1] if len(report.residual_history) else float("nan")
+                res = float("nan") if report.final_residual is None else report.final_residual
                 rows.append((v, cfg.scheme, h_l, h_r, res, report.steady_reached, ""))
-            except Exception as exc:  # recorded per row, sweep continues
+            except (ValueError, SWEError) as exc:  # bad input: recorded per row, sweep continues
                 rows.append((v, cfg.scheme, float("nan"), float("nan"), float("nan"), False,
                              f"{type(exc).__name__}: {exc}"))
 

@@ -30,6 +30,7 @@ from swelab.solver import (
     SchemeConfig,
     SimSpec,
     SimState,
+    StepInfo,
     cfl_dt,
     run,
     step,
@@ -138,35 +139,30 @@ def _entropy_gradient_dot(W: ExtState, v, c: PhysConstants):
 
 
 def entropy_production_total(before: SimState, after: SimState, dt: float, dx: float,
-                             c: PhysConstants,
-                             left_ghost: ExtState | None = None,
-                             right_ghost: ExtState | None = None,
-                             left_flux=None, right_flux=None) -> float:
-    """Global entropy production of one step, boundary fluxes closed.
+                             c: PhysConstants, info: StepInfo) -> float:
+    """Global entropy production of the step that ``info`` describes.
 
-    sum_i (eta~(after_i) - eta~(before_i)) dx/dt + (G_right - G_left).
+    sum_i (eta~(after_i) - eta~(before_i)) dx/dt + (G_right - G_left),
 
-    When the boundary ghosts and the one-sided fluxes F- (leftmost
-    interface) / F+ (rightmost) are supplied, G_right is replaced by its
-    certified lower bound and G_left by its certified upper bound, so
-    the reported value is a lower bound on the true production and is
-    nonpositive for any semi-discrete entropy satisfying scheme.
-    Without them the exact entropy flux at the boundary cells is used.
+    closed with the step's ghosts and one-sided fluxes F- (leftmost
+    interface) / F+ (rightmost): G_right is replaced by its certified
+    lower bound and G_left by its certified upper bound, so the reported
+    value is a lower bound on the true production and is nonpositive
+    for any semi-discrete entropy satisfying scheme.
     """
     eb = entropy_pair(ExtState(PhysState(before.h, before.q), before.H), c)
     ea = entropy_pair(ExtState(PhysState(after.h, after.q), after.H), c)
     interior = float(np.sum(np.asarray(ea.eta) - np.asarray(eb.eta)) * dx / dt)
 
-    def boundary_G(ghost, flux, i):
-        if ghost is None or flux is None:
-            return float(entropy_pair(ExtState(PhysState(before.h[i], before.q[i]), before.H[i]),
-                                      c).G)
-        Fg = physical_flux(ghost.state, c)
+    def boundary_G(ghost, flux):
+        h, q, H = ghost
+        W = ExtState(PhysState(h, q), H)
+        Fg = physical_flux(W.state, c)
         dF = (flux[0] - Fg[0], flux[1] - Fg[1])
-        return float(entropy_pair(ghost, c).G + _entropy_gradient_dot(ghost, dF, c))
+        return float(entropy_pair(W, c).G + _entropy_gradient_dot(W, dF, c))
 
-    return interior + (boundary_G(right_ghost, right_flux, -1)
-                       - boundary_G(left_ghost, left_flux, 0))
+    return interior + (boundary_G(info.ghosts[1], info.right_flux)
+                       - boundary_G(info.ghosts[0], info.left_flux))
 
 
 def convergence_study(spec_family: Callable[[int], SimSpec], cfg: SchemeConfig,

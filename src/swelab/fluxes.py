@@ -29,33 +29,26 @@ _OMEGA_RULES = {
     "force": lambda cfl: 0.5,
     "gforce": lambda cfl: 1.0 / (1.0 + cfl),
     "lax-friedrichs": lambda cfl: 0.0,
-    "lax-wendroff": lambda cfl: 1.0,
 }
 
 
 @dataclass(frozen=True)
 class FluxKind:
-    """Flux selector: 'roe', or 'omega' with a rule name or a number in [0, 1]."""
+    """Flux selector: 'roe', or 'omega' with a named rule for omega(CFL)."""
 
     name: str
-    rule: str | float | None = None
+    rule: str | None = None
 
     def __post_init__(self):
         if self.name not in ("roe", "omega"):
             raise ValueError(f"unknown flux kind {self.name!r}")
-        if self.name == "omega":
-            if isinstance(self.rule, str):
-                if self.rule not in _OMEGA_RULES:
-                    raise ValueError(f"unknown omega rule {self.rule!r}")
-            elif self.rule is None or not 0.0 <= float(self.rule) <= 1.0:
-                raise ValueError("omega must lie in [0, 1]")
+        if self.name == "omega" and self.rule not in _OMEGA_RULES:
+            raise ValueError(f"unknown omega rule {self.rule!r}")
 
     def omega(self, cfl: float) -> float:
         if self.name != "omega":
             raise ValueError("omega() only makes sense for the centred family")
-        if isinstance(self.rule, str):
-            return _OMEGA_RULES[self.rule](cfl)
-        return float(self.rule)
+        return _OMEGA_RULES[self.rule](cfl)
 
 
 ROE = FluxKind("roe")

@@ -193,7 +193,6 @@ class SimSpec:
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
     stop: StopRule
-    snapshot_times: tuple = ()
     probes: tuple = ()  # (name, x) pairs, reported at the final state
 
 
@@ -225,14 +224,6 @@ class StepInfo:
     left_flux: tuple  # one-sided flux F- seen by the left ghost
     right_flux: tuple  # one-sided flux F+ seen by the right ghost
 
-    @property
-    def left_ghost(self) -> ExtState:
-        return _ext(*self.ghosts[0])
-
-    @property
-    def right_ghost(self) -> ExtState:
-        return _ext(*self.ghosts[1])
-
 
 @dataclass
 class RunReport:
@@ -241,8 +232,8 @@ class RunReport:
     metadata: dict
     x: np.ndarray
     H: np.ndarray
-    snapshots: list  # (t, h, q) triples
-    residual_history: np.ndarray
+    snapshots: list  # [(t, h, q)] of the final state only; kept for the benchmark
+    final_residual: float | None  # last step's residual; None when no step was taken
     probes: dict
     steady_reached: bool
     final_time: float
@@ -265,7 +256,7 @@ class RunReport:
             n_steps=int(self.n_steps),
             clip_events=int(self.clip_events),
             minor_clip_events=int(self.minor_clip_events),
-            final_residual=float(self.residual_history[-1]) if len(self.residual_history) else None,
+            final_residual=self.final_residual,
             probes={k: {kk: float(vv) for kk, vv in v.items()} for k, v in self.probes.items()},
         )
         return d
@@ -379,49 +370,39 @@ def initial_state(spec: SimSpec, c: PhysConstants) -> SimState:
 
 def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         track_entropy: bool = False) -> RunReport:
-    """March a simulation to its stop rule.
+    """March a simulation to its stop rule and report its final state.
 
-    The last step before each requested output time is clamped to land
-    exactly on it. The residual |w^{n+1} - w^n|_1 / dt is recorded each
-    step; with a steady tolerance set, the run stops once the residual
-    falls below tol * (first residual + 1e-30). The report's
-    ``stop_reason`` says which rule ended the run.
+    The last step is clamped to land exactly on the stop rule's time
+    bound. The residual |w^{n+1} - w^n|_1 / dt is taken each step; with
+    a steady tolerance set, the run stops once it falls below
+    tol * (first residual + 1e-30). The report keeps the last residual,
+    and its ``stop_reason`` says which rule ended the run.
     """
     state = initial_state(spec, c)
     grid = spec.grid
     stop = spec.stop
     bound = stop.time_bound()
-    limit0 = np.inf if bound is None else bound
-    snap_times = sorted(t for t in spec.snapshot_times if bound is None or t <= bound + 1e-12)
-    snapshots = []
-    residuals = []
     entropy = [] if track_entropy else None
     clips = minor = 0
     steady = False
-    residual0 = None
+    residual0 = res = None
     n_steps = 0
     if track_entropy:
         from swelab.diagnostics import entropy_production_total
-
-    pending = [t for t in snap_times if t > 1e-14]
-    if snap_times and snap_times[0] <= 1e-14:
-        snapshots.append((0.0, state.h.copy(), state.q.copy()))
 
     while True:
         if bound is not None and state.t >= bound - 1e-12:
             stop_reason = "final_time" if bound == stop.final_time else "max_time"
             break
-        if steady and stop.steady_tol is not None:
+        if steady:
             stop_reason = "steady"
             break
         if n_steps >= stop.max_steps:
             stop_reason = "max_steps"
             break
         dt = cfl_dt(state, cfg, grid, c)
-        # every pending output time lies beyond state.t + 1e-12 (see below)
-        limit = min(limit0, pending[0]) if pending else limit0
-        if limit < np.inf:
-            dt = min(dt, limit - state.t)
+        if bound is not None:
+            dt = min(dt, bound - state.t)
         before = state
         state, info = step(state, cfg, grid, spec.bc_left, spec.bc_right, dt, c)
         n_steps += 1
@@ -429,22 +410,12 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         minor += info.minor_clip_events
         res = float((np.abs(state.h - before.h).sum() + np.abs(state.q - before.q).sum())
                     * grid.dx / dt)
-        residuals.append(res)
         if residual0 is None:
             residual0 = res
         if track_entropy:
-            entropy.append(entropy_production_total(
-                before, state, dt, grid.dx, c, left_ghost=info.left_ghost,
-                right_ghost=info.right_ghost, left_flux=info.left_flux,
-                right_flux=info.right_flux))
+            entropy.append(entropy_production_total(before, state, dt, grid.dx, c, info))
         if stop.steady_tol is not None and res <= stop.steady_tol * (residual0 + 1e-30):
             steady = True
-        while pending and state.t >= pending[0] - 1e-12:
-            snapshots.append((state.t, state.h.copy(), state.q.copy()))
-            pending.pop(0)
-
-    if not snapshots or abs(snapshots[-1][0] - state.t) > 1e-12:
-        snapshots.append((state.t, state.h.copy(), state.q.copy()))
 
     probes = {}
     for name, xp in spec.probes:
@@ -456,8 +427,8 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
                       h_dry=c.h_dry, omega_split_form=resolved_split_form()),
         x=grid.centers(),
         H=state.H.copy(),
-        snapshots=snapshots,
-        residual_history=np.asarray(residuals),
+        snapshots=[(state.t, state.h, state.q)],
+        final_residual=res,
         probes=probes,
         steady_reached=steady,
         final_time=state.t,

@@ -4,14 +4,16 @@
 and its traced runs check a mass budget on every step from the
 ``StepInfo`` that ``solver.step`` returns; ``bench/workloads.py``
 passes its worker count to ``swelab sweep --jobs`` and
-``convergence_study(max_workers=...)``. These tests keep that working
-while the program changes underneath.
+``convergence_study(max_workers=...)``, and checks each run from the
+fields of its ``RunReport``. These tests keep that working while the
+program changes underneath.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swelab.cli as cli
@@ -69,6 +71,24 @@ def test_run_calls_the_module_step_once_per_step(monkeypatch, case):
         for name in STEP_FIELDS:
             assert hasattr(info, name), name
         assert len(info.left_flux) == 2 and len(info.right_flux) == 2
+
+
+def test_run_report_has_the_fields_the_workloads_read():
+    for spec, cfg in _short_runs():
+        report = solver.run(spec, cfg)
+        final = report.final
+        t, h, q = report.snapshots[-1]
+        assert t == final.t == report.final_time
+        assert np.array_equal(h, final.h) and np.array_equal(q, final.q)
+        assert np.array_equal(report.x, spec.grid.centers())
+        assert np.array_equal(report.H, final.H) and report.H.shape == report.x.shape
+        assert set(report.probes) == {name for name, _ in spec.probes} == {"h_l", "h_r"}
+        for probe in report.probes.values():
+            i = int(np.argmin(np.abs(report.x - probe["x"])))
+            assert probe["h"] == h[i]
+        assert isinstance(report.n_steps, int) and report.n_steps > 0
+        assert isinstance(report.steady_reached, bool)
+        assert report.metadata["scheme"] == cfg.scheme
 
 
 def test_tracer_sees_every_step():

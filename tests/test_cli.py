@@ -112,7 +112,7 @@ def test_every_scheme_is_checked_before_the_first_run(tmp_path, monkeypatch, cap
                                                       command, extra):
     calls = []
 
-    def no_run(*args, **kwargs):  # the sweep records a raised error as a row
+    def no_run(*args, **kwargs):  # not an input error, so the sweep would let it out
         calls.append(args)
         raise AssertionError("run called before every scheme was checked")
 
@@ -137,6 +137,25 @@ def test_sweep_records_failed_rows(tmp_path, capsys):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert "ValueError" in lines[2]
     assert "failed rows" in capsys.readouterr().out
+
+
+def test_sweep_lets_a_program_error_out(tmp_path, monkeypatch):
+    def broken_run(*args, **kwargs):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    with pytest.raises(AssertionError, match="boom"):
+        cli.main(["sweep", "--test", "3", "--scheme", "hr", "--cells", "20",
+                  "--until", "time=0.02", "--sweep", "H_r=0.2", "--out", str(tmp_path)])
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_row_without_a_step_has_no_residual(tmp_path):
+    rc = cli.main(["sweep", "--test", "3", "--scheme", "hr", "--cells", "20",
+                   "--until", "time=0", "--sweep", "H_r=0.2", "--out", str(tmp_path)])
+    assert rc == 0
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[4] == "nan" and row[5] == "0" and row[6] == ""
 
 
 def test_convergence_outputs(tmp_path, monkeypatch):

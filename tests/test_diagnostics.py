@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import swelab.diagnostics as diagnostics
-from swelab.core import ExtState, PhysConstants, PhysState
+from swelab.core import ExtState, PhysConstants, PhysState, physical_flux
 from swelab.diagnostics import (
     convergence_study,
     entropy_interface_check,
@@ -18,7 +18,7 @@ from swelab.fluxes import FluxKind
 from swelab.hydrostatic import hr_reconstruct, modified_hr_corrections
 from swelab.fluxes import omega_flux
 from swelab.presets import build_preset, exact_profile
-from swelab.solver import Grid, SchemeConfig, SimState
+from swelab.solver import BoundaryCondition, Grid, SchemeConfig, SimState, StepInfo, step
 
 
 def test_l1_error_metric():
@@ -104,18 +104,25 @@ def test_entropy_production_zero_on_rest():
     n = 8
     H = np.linspace(0.0, 0.4, n)
     state = SimState(0.0, 1.0 + H, np.zeros(n), H)
-    assert entropy_production_total(state, state.copy(), 0.01, 0.1, c) == 0.0
+    open_bc = BoundaryCondition.open()
+    after, info = step(state, SchemeConfig.from_id("hr"), Grid(0.0, 0.8, n),
+                       open_bc, open_bc, 0.01, c)
+    assert entropy_production_total(state, after, 0.01, 0.1, c, info) == 0.0
 
 
 def test_entropy_production_interior_term():
-    """Without boundary data the diagnostic is the plain eta~ budget
-    closed with the exact boundary-cell entropy fluxes."""
+    """With ghosts equal to the boundary cells and one-sided fluxes equal
+    to their physical fluxes, the closure is the exact boundary-cell
+    entropy flux, and the diagnostic is the plain eta~ budget."""
     c = PhysConstants()
     H = np.zeros(4)
     before = SimState(0.0, np.full(4, 0.5), np.full(4, 0.1), H)
     after = SimState(0.01, np.full(4, 0.5), np.full(4, 0.1), H)
     after.h[1] = 0.49  # lose a little potential energy in one cell
-    val = entropy_production_total(before, after, 0.01, 0.1, c)
+    F = tuple(physical_flux(PhysState(0.5, 0.1), c))
+    info = StepInfo(clip_events=0, minor_clip_events=0, min_h_pre_clip=0.49,
+                    ghosts=((0.5, 0.1, 0.0), (0.5, 0.1, 0.0)), left_flux=F, right_flux=F)
+    val = entropy_production_total(before, after, 0.01, 0.1, c, info)
     # interior change only: boundary cells are identical, G cancels
     from swelab.core import entropy_pair
 

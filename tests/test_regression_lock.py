@@ -214,9 +214,7 @@ def one_step(name, h, q, H, scheme, gate, dt=None):
         dt = cfl_dt(state, cfg, grid, C)
     after, info = step(state, cfg, grid, bc_left, bc_right, dt, C)
     vec = [info.clip_events, info.minor_clip_events, info.min_h_pre_clip,
-           *info.left_flux, *info.right_flux,
-           info.left_ghost.h, info.left_ghost.q, info.left_ghost.H,
-           info.right_ghost.h, info.right_ghost.q, info.right_ghost.H]
+           *info.left_flux, *info.right_flux, *info.ghosts[0], *info.ghosts[1]]
     return dt, after.h, after.q, np.array(vec, dtype=float)
 
 

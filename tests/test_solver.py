@@ -221,22 +221,11 @@ def test_run_reaches_steady_on_rest():
     assert report.metadata["scheme"] == "hr"
 
 
-def test_run_snapshot_times_land_exactly():
-    spec = _rest_spec()
-    spec.stop = StopRule(final_time=0.05)
-    spec.snapshot_times = (0.0, 0.02, 0.05)
-    report = run(spec, SchemeConfig.from_id("roe"))
-    times = [t for t, _, _ in report.snapshots]
-    assert times[0] == 0.0
-    assert any(abs(t - 0.02) < 1e-12 for t in times)
-    assert abs(times[-1] - 0.05) < 1e-12
-    assert report.final_time == pytest.approx(0.05)
-
-
 def test_run_probes_and_summary():
     spec = _rest_spec()
     spec.probes = (("mid", 0.5),)
     report = run(spec, SchemeConfig.from_id("roe"))
+    assert abs(report.final_time - 0.05) < 1e-12  # the last step lands on the final time
     assert "mid" in report.probes
     assert report.probes["mid"]["h"] > 0
     s = report.summary()
@@ -266,6 +255,17 @@ def test_stop_reason_final_time():
     report = run(_rest_spec(), SchemeConfig.from_id("roe"))
     assert report.final_time == pytest.approx(0.05)
     assert report.stop_reason == "final_time"
+
+
+def test_run_that_takes_no_step():
+    spec = _rest_spec()
+    spec.stop = StopRule(final_time=0.0)
+    report = run(spec, SchemeConfig.from_id("roe"))
+    assert report.n_steps == 0 and report.stop_reason == "final_time"
+    assert report.final_residual is None
+    assert report.summary()["final_residual"] is None
+    assert report.final.t == 0.0
+    assert np.array_equal(report.final.h, initial_state(spec, PhysConstants()).h)
 
 
 def test_stop_reason_max_time():
