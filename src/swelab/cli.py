@@ -46,14 +46,15 @@ def _parse_params(items):
 
 
 def _parse_until(text):
-    """--until steady | time=T -> StopRule override pieces."""
-    if text is None:
-        return None
+    """--until steady | time=T -> 'steady' or the StopRule ending at T (an argparse type)."""
     if text == "steady":
-        return ("steady", None)
-    if text.startswith("time="):
-        return ("time", float(text[5:]))
-    raise ValueError(f"--until expects 'steady' or 'time=T', got {text!r}")
+        return text
+    if not text.startswith("time="):
+        raise argparse.ArgumentTypeError(f"--until expects 'steady' or 'time=T', got {text!r}")
+    try:
+        return StopRule(final_time=float(text[5:]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _config_flags(path):
@@ -76,15 +77,12 @@ def _scheme_config(args, scheme_id) -> SchemeConfig:
 
 def _spec_for(args, params):
     spec = build_preset(args.test, n_cells=args.cells, **params)
-    until = _parse_until(args.until)
-    if until is not None:
-        kind, t = until
-        if kind == "time":
-            spec.stop = StopRule(final_time=t)
-        else:
-            base = spec.stop
-            spec.stop = StopRule(steady_tol=base.steady_tol or 1e-8,
-                                 max_time=base.time_bound() or 1e4)
+    if args.until == "steady":
+        base = spec.stop
+        spec.stop = StopRule(steady_tol=base.steady_tol or 1e-8,
+                             max_time=base.time_bound() or 1e4)
+    elif args.until is not None:
+        spec.stop = args.until
     return spec
 
 
@@ -215,18 +213,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="1D shallow-water well-balanced scheme laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scheme_multi=False):
+    def common(sp, scheme_multi=False, runs=True):
         sp.add_argument("--test", type=int, required=True, choices=sorted(DEFAULT_CELLS))
         if scheme_multi:
             sp.add_argument("--scheme", action="append", required=True,
                             help="scheme id (repeatable)")
         else:
             sp.add_argument("--scheme", required=True, help="scheme id")
-        sp.add_argument("--cells", type=int, default=None)
+        if runs:  # a convergence ladder picks its own meshes and stop rules
+            sp.add_argument("--cells", type=int, default=None)
+            sp.add_argument("--until", type=_parse_until, default=None, help="steady | time=T")
         sp.add_argument("--cfl", type=float, default=0.9)
         sp.add_argument("--gate", choices=GATE_POLICIES, default="dimensional")
         sp.add_argument("--param", action="append", metavar="K=V", default=[])
-        sp.add_argument("--until", default=None, help="steady | time=T")
         sp.add_argument("--out", default=".")
         sp.add_argument("--config", default=None, help="key = value file; flags override")
 
@@ -243,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("convergence", help="mesh-ladder L1 study (test 6)")
-    common(sp, scheme_multi=True)
+    common(sp, scheme_multi=True, runs=False)
     sp.add_argument("--bound", type=float, default=0.008)
     sp.add_argument("--full-ladder", action="store_true")
     sp.set_defaults(func=cmd_convergence)

@@ -23,35 +23,7 @@ from swelab.core import PhysConstants, PhysState, velocity
 # Unused here since the formulas moved to ``kernel``; bound for bench/tracer.py.
 from swelab.core import physical_flux  # noqa: F401
 
-__all__ = ["FluxKind", "ROE", "RoeData", "roe_average", "roe_flux", "omega_flux"]
-
-_OMEGA_RULES = {
-    "force": lambda cfl: 0.5,
-    "gforce": lambda cfl: 1.0 / (1.0 + cfl),
-    "lax-friedrichs": lambda cfl: 0.0,
-}
-
-
-@dataclass(frozen=True)
-class FluxKind:
-    """Flux selector: 'roe', or 'omega' with a named rule for omega(CFL)."""
-
-    name: str
-    rule: str | None = None
-
-    def __post_init__(self):
-        if self.name not in ("roe", "omega"):
-            raise ValueError(f"unknown flux kind {self.name!r}")
-        if self.name == "omega" and self.rule not in _OMEGA_RULES:
-            raise ValueError(f"unknown omega rule {self.rule!r}")
-
-    def omega(self, cfl: float) -> float:
-        if self.name != "omega":
-            raise ValueError("omega() only makes sense for the centred family")
-        return _OMEGA_RULES[self.rule](cfl)
-
-
-ROE = FluxKind("roe")
+__all__ = ["RoeData", "roe_average", "roe_flux", "omega_flux"]
 
 
 @dataclass

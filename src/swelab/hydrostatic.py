@@ -23,7 +23,6 @@ import numpy as np
 
 from swelab import kernel
 from swelab.core import ExtState, PhysConstants, PhysState, velocity
-from swelab.fluxes import FluxKind
 from swelab.kernel import GATE_POLICIES, pressure
 from swelab.sources import SourceSplit
 
@@ -35,7 +34,6 @@ __all__ = [
     "HRCorrections",
     "pressure",
     "hr_reconstruct",
-    "hr_source",
     "modified_hr_corrections",
     "hr_interface_terms",
     "GATE_POLICIES",
@@ -66,10 +64,6 @@ def _arrays(W_l: ExtState, W_r: ExtState):
     return tuple(np.asarray(a, dtype=float) for a in (W_l.h, W_l.H, W_r.h, W_r.H))
 
 
-def _depths(iface: HRInterface):
-    return np.asarray(iface.w_minus.h, float), np.asarray(iface.w_plus.h, float)
-
-
 def hr_reconstruct(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> HRInterface:
     """One-sided states at H* = min(H_l, H_r) with the donor-cell
     velocities; see ``kernel.hr_depths``."""
@@ -78,22 +72,12 @@ def hr_reconstruct(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> HRInterfac
     return HRInterface(H_star, PhysState(hm, hm * ul), PhysState(hp, hp * ur), large)
 
 
-def hr_source(W_l: ExtState, W_r: ExtState, iface: HRInterface,
-              c: PhysConstants) -> SourceSplit:
-    """S- = (0, p(h-) - p(h_l)) and S+ = (0, p(h_r) - p(h+)): each side's
-    segment integral, cancelling the reconstructed flux at rest."""
-    hl, _, hr, _ = _arrays(W_l, W_r)
-    zero = np.zeros_like(hl + hr)
-    minus, plus = kernel.hr_source(hl, hr, *_depths(iface), c.g)
-    return SourceSplit(minus=(zero, minus), plus=(zero, plus))
-
-
 def modified_hr_corrections(W_l: ExtState, W_r: ExtState, iface: HRInterface,
                             gate: str, c: PhysConstants) -> HRCorrections:
     """Large-step corrections T+- (``kernel.large_step_corrections``), zero
     outside large steps; the gate keeps rest against a dry bank."""
     hl, Hl, hr, Hr = _arrays(W_l, W_r)
-    hm, hp = _depths(iface)
+    hm, hp = np.asarray(iface.w_minus.h, float), np.asarray(iface.w_plus.h, float)
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     recon = (np.asarray(iface.H_star, float), hm, hp, np.asarray(iface.large_step))
     split = kernel.hr_source(hl, hr, hm, hp, c.g)
@@ -101,27 +85,23 @@ def modified_hr_corrections(W_l: ExtState, W_r: ExtState, iface: HRInterface,
         hl, ul, Hl, hr, ur, Hr, recon, split, c.g, c.h_dry, gate))
 
 
-def hr_interface_terms(W_l: ExtState, W_r: ExtState, flux: FluxKind, variant: str,
-                       c: PhysConstants, dx: float | None = None,
-                       dt: float | None = None, cfl: float = 0.9,
-                       gate: str = "dimensional"):
-    """The HR scheme's interface terms (``kernel.hydrostatic``).
+def hr_interface_terms(W_l: ExtState, W_r: ExtState, cfg, c: PhysConstants,
+                       dx: float | None = None, dt: float | None = None):
+    """The interface terms of the HR scheme that the ``solver.SchemeConfig``
+    ``cfg`` picks (``kernel.hydrostatic``); an omega flux needs ``dx`` and ``dt``.
 
-    ``variant`` is 'original' or 'modified'. Returns (flux pair,
-    SourceSplit, HRInterface); interfaces dry on both sides carry zeros.
+    Returns (flux pair, SourceSplit, HRInterface); interfaces dry on both
+    sides carry zeros.
     """
-    if variant not in ("original", "modified"):
-        raise ValueError(f"unknown HR variant {variant!r}")
-    kernel.check_gate(gate)
-    omega_ab = None
-    if flux.name == "omega":
-        if dx is None or dt is None:
-            raise ValueError("omega fluxes need dx and dt")
-        omega_ab = kernel.omega_coefficients(flux.omega(cfl), dx, dt)
+    if cfg.source not in ("hr", "modified-hr"):
+        raise ValueError(f"source {cfg.source!r} is not a hydrostatic reconstruction")
+    if cfg.flux != "roe" and (dx is None or dt is None):
+        raise ValueError("omega fluxes need dx and dt")
     hl, Hl, hr, Hr = _arrays(W_l, W_r)
     ql, qr = np.asarray(W_l.q, float), np.asarray(W_r.q, float)
     F, (_, minus), (_, plus) = kernel.hydrostatic(
-        hl, ql, Hl, hr, qr, Hr, c.g, c.h_dry, variant == "modified", gate, omega_ab)
+        hl, ql, Hl, hr, qr, Hr, c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate,
+        kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt))
     zero = np.zeros_like(hl + hr)
     split = SourceSplit(minus=(zero, minus), plus=(zero, plus))
     return F, split, hr_reconstruct(W_l, W_r, c)

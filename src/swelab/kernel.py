@@ -1,10 +1,11 @@
 """Interface formulas of every scheme, on plain float arrays.
 
 The one place where the fluxes, source splits and hydrostatic
-reconstruction are written down: ``solver.step`` calls the three scheme
-functions at the bottom, and ``fluxes``, ``sources`` and ``hydrostatic``
-wrap the same formulas as object-level functions. The cell formulas
-(velocity and physical flux) come from ``swelab.core``.
+reconstruction are written down: ``solver.step`` calls the two scheme
+functions at the bottom, ``upwind`` and ``hydrostatic``, and ``fluxes``,
+``sources`` and ``hydrostatic`` wrap the same formulas as object-level
+functions. The cell formulas (velocity and physical flux) come from
+``swelab.core``.
 
 A scheme function takes the states on both sides of every interface
 (``hl, ql, Hl`` and ``hr, qr, Hr``: equal-length or 0-d float arrays)
@@ -25,6 +26,14 @@ import numpy as np
 from swelab.core import DryInterfaceError, cell_flux, cell_velocity
 
 GATE_POLICIES = ("dimensional", "as-printed")
+
+# omega(CFL) of each centred flux: FORCE, GFORCE and Lax-Friedrichs
+OMEGA_RULES = {
+    "force": lambda cfl: 0.5,
+    "gforce": lambda cfl: 1.0 / (1.0 + cfl),
+    "lax-friedrichs": lambda cfl: 0.0,
+}
+FLUXES = ("roe", *OMEGA_RULES)
 
 
 def check_gate(gate):
@@ -89,6 +98,14 @@ def omega_coefficients(omega, dx, dt):
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
     return (1.0 - omega) * dx / dt, omega * dt / dx
+
+
+def omega_weights(flux, cfl, dx, dt):
+    """``omega_ab`` of the flux named ``flux``: None for 'roe', else the
+    ``omega_coefficients`` of its rule's omega(CFL)."""
+    if flux == "roe":
+        return None
+    return omega_coefficients(OMEGA_RULES[flux](cfl), dx, dt)
 
 
 def flux(hl, ql, hr, qr, g, h_dry, omega_ab=None, live=None):
@@ -158,13 +175,11 @@ def gate_threshold(h, u, g, policy):
     """Right-hand side of the energy gate: the critical-head form (3/2)
     ((g h u)^2)^(1/3) ('dimensional', the default) or the printed form
     (3/2) sqrt((g h u)^3), dimensionally inconsistent with the
-    specific-energy left-hand side ('as-printed')."""
+    specific-energy left-hand side ('as-printed'); callers ``check_gate``."""
     ghu = g * h * u
     if policy == "dimensional":
         return 1.5 * np.cbrt(ghu * ghu)
-    if policy == "as-printed":
-        return 1.5 * np.sqrt(np.maximum(ghu, 0.0) ** 3)
-    raise ValueError(f"unknown gate policy {policy!r}")
+    return 1.5 * np.sqrt(np.maximum(ghu, 0.0) ** 3)
 
 
 def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate):
@@ -193,17 +208,14 @@ def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
     return np.where(apply, t_minus, 0.0), np.where(apply, t_plus, 0.0), gated
 
 
-def roe_upwind(hl, ql, Hl, hr, qr, Hr, g, h_dry):
-    """Roe flux with the characteristic source split."""
-    F, u, c, wet = flux(hl, ql, hr, qr, g, h_dry)
-    minus, plus = roe_source(u, c, Hr - Hl)
-    return F, _masked(wet, minus), _masked(wet, plus)
-
-
-def omega_upwind(hl, ql, Hl, hr, qr, Hr, g, h_dry, omega_ab):
-    """Omega centred flux, ``omega_ab = (a, b)``, with its paired source split."""
+def upwind(hl, ql, Hl, hr, qr, Hr, g, h_dry, omega_ab=None):
+    """Roe flux with the characteristic source split, or an omega centred
+    flux, ``omega_ab = (a, b)``, with its paired source split."""
     F, u, c, wet = flux(hl, ql, hr, qr, g, h_dry, omega_ab)
-    minus, plus = omega_source(u, c, Hr - Hl, *omega_ab)
+    if omega_ab is None:
+        minus, plus = roe_source(u, c, Hr - Hl)
+    else:
+        minus, plus = omega_source(u, c, Hr - Hl, *omega_ab)
     return F, _masked(wet, minus), _masked(wet, plus)
 
 

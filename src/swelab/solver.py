@@ -20,7 +20,6 @@ import numpy as np
 
 from swelab import kernel
 from swelab.core import DryStateError, ExtState, PhysConstants, PhysState, SWEError
-from swelab.fluxes import FluxKind, ROE
 from swelab.sources import resolved_split_form
 
 # Object-level functions the step no longer calls, bound for bench/tracer.py.
@@ -72,19 +71,19 @@ class Grid:
 # slot for the subsonic reconstruction solver, deliberately left
 # unimplemented.
 SCHEMES = {
-    "roe": dict(flux=ROE, source="upwind", implemented=True,
+    "roe": dict(flux="roe", source="upwind", implemented=True,
                 label="Roe flux with characteristic source upwinding"),
-    "hr": dict(flux=ROE, source="hr", implemented=True,
+    "hr": dict(flux="roe", source="hr", implemented=True,
                label="hydrostatic reconstruction, Roe homogeneous flux"),
-    "modified-hr": dict(flux=ROE, source="modified-hr", implemented=True,
+    "modified-hr": dict(flux="roe", source="modified-hr", implemented=True,
                         label="modified hydrostatic reconstruction, Roe homogeneous flux"),
-    "force-hr": dict(flux=FluxKind("omega", "force"), source="hr", implemented=True,
+    "force-hr": dict(flux="force", source="hr", implemented=True,
                      label="hydrostatic reconstruction, FORCE homogeneous flux"),
-    "gforce-hr": dict(flux=FluxKind("omega", "gforce"), source="hr", implemented=True,
+    "gforce-hr": dict(flux="gforce", source="hr", implemented=True,
                       label="hydrostatic reconstruction, GFORCE homogeneous flux"),
-    "force-wb": dict(flux=FluxKind("omega", "force"), source="upwind", implemented=True,
+    "force-wb": dict(flux="force", source="upwind", implemented=True,
                      label="FORCE flux with the paired source splitting"),
-    "gforce-wb": dict(flux=FluxKind("omega", "gforce"), source="upwind", implemented=True,
+    "gforce-wb": dict(flux="gforce", source="upwind", implemented=True,
                       label="GFORCE flux with the paired source splitting"),
     "subsonic": dict(flux=None, source=None, implemented=False,
                      label="subsonic reconstruction (not implemented, see Bouchut &"
@@ -97,12 +96,14 @@ class SchemeConfig:
     """Everything that picks the numerics of one run."""
 
     scheme: str
-    flux: FluxKind
+    flux: str  # one of kernel.FLUXES
     source: str  # 'upwind' | 'hr' | 'modified-hr'
     cfl: float = 0.9
     gate: str = "dimensional"
 
     def __post_init__(self):
+        if self.flux not in kernel.FLUXES:
+            raise ValueError(f"unknown flux {self.flux!r}")
         if self.source not in ("upwind", "hr", "modified-hr"):
             raise ValueError(f"unknown source treatment {self.source!r}")
         if not 0.0 < self.cfl <= 1.0:
@@ -177,6 +178,9 @@ class StopRule:
             raise ValueError("need a final time or a steady tolerance")
         if self.steady_tol is not None and self.final_time is None and self.max_time is None:
             raise ValueError("a steady-state stop needs a max_time backstop")
+        for v in (self.final_time, self.steady_tol, self.max_time):
+            if v is not None and not 0.0 <= v < np.inf:  # NaN or inf would never stop a run
+                raise ValueError(f"stop times and tolerances must be finite and >= 0, got {v}")
 
     def time_bound(self) -> float | None:
         ts = [t for t in (self.final_time, self.max_time) if t is not None]
@@ -303,14 +307,10 @@ def interface_terms(hp: np.ndarray, qp: np.ndarray, Hp: np.ndarray, cfg: SchemeC
     """(F0, F1), (Sm0, Sm1), (Sp0, Sp1) over the interfaces of the padded
     arrays (see ``kernel``); dry/dry interfaces carry zeros."""
     sides = (hp[:-1], qp[:-1], Hp[:-1], hp[1:], qp[1:], Hp[1:], c.g, c.h_dry)
-    omega_ab = None
-    if cfg.flux.name == "omega":
-        omega_ab = kernel.omega_coefficients(cfg.flux.omega(cfg.cfl), dx, dt)
-    if cfg.source != "upwind":
-        return kernel.hydrostatic(*sides, cfg.source == "modified-hr", cfg.gate, omega_ab)
-    if omega_ab is None:
-        return kernel.roe_upwind(*sides)
-    return kernel.omega_upwind(*sides, omega_ab)
+    omega_ab = kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt)
+    if cfg.source == "upwind":
+        return kernel.upwind(*sides, omega_ab)
+    return kernel.hydrostatic(*sides, cfg.source == "modified-hr", cfg.gate, omega_ab)
 
 
 def step(state: SimState, cfg: SchemeConfig, grid: Grid,

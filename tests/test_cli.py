@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, file outputs, determinism."""
 
+import argparse
 import json
 import threading
 
@@ -105,7 +106,7 @@ def test_sweep_jobs_accepts_only_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,extra", [
-    ("sweep", ["--sweep", "H_r=0.2,0.3", "--test", "3"]),
+    ("sweep", ["--sweep", "H_r=0.2,0.3", "--test", "3", "--cells", "20", "--until", "time=0.02"]),
     ("convergence", ["--test", "6"]),
 ])
 def test_every_scheme_is_checked_before_the_first_run(tmp_path, monkeypatch, capsys,
@@ -120,7 +121,7 @@ def test_every_scheme_is_checked_before_the_first_run(tmp_path, monkeypatch, cap
     monkeypatch.setattr(diagnostics, "run", no_run)
     monkeypatch.setattr(cli, "_LADDER", (25, 50))
     rc = cli.main([command, *extra, "--scheme", "hr", "--scheme", "hllc",
-                   "--cells", "20", "--until", "time=0.02", "--out", str(tmp_path)])
+                   "--out", str(tmp_path)])
     assert calls == []
     assert rc == 2
     assert "hllc" in capsys.readouterr().err
@@ -156,6 +157,41 @@ def test_sweep_row_without_a_step_has_no_residual(tmp_path):
     assert rc == 0
     row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
     assert row[4] == "nan" and row[5] == "0" and row[6] == ""
+
+
+def test_bad_stop_time_exits_2_before_any_run(tmp_path, capsys):
+    """A stop time that could not end a run is a usage error, from the
+    command line or from a config file; no run starts and no file is written."""
+    rc = cli.main(["sweep", "--test", "3", "--scheme", "hr", "--cells", "20",
+                   "--until", "time=-1", "--sweep", "H_r=0.2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert ">= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("cells = 20\nuntil = time=nan\n")
+    assert cli.main(["run", "--test", "3", "--scheme", "roe", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_parse_until_rejects_times_that_cannot_end_a_run():
+    for text in ("time=nan", "time=inf", "time=-1", "time=x", "never"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_until(text)
+    assert cli._parse_until("time=0").final_time == 0.0
+    assert cli._parse_until("steady") == "steady"
+
+
+def test_convergence_rejects_run_flags(tmp_path, monkeypatch, capsys):
+    """A ladder picks its own meshes and stop rules, so --cells and --until
+    are usage errors there instead of being ignored."""
+    monkeypatch.setattr(cli, "_LADDER", (25, 50))
+    for extra in (["--cells", "20"], ["--until", "time=0.02"]):
+        rc = cli.main(["convergence", "--test", "6", "--scheme", "roe", *extra,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert extra[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_convergence_outputs(tmp_path, monkeypatch):

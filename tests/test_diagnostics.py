@@ -14,7 +14,6 @@ from swelab.diagnostics import (
     l1_error,
     well_balance_residual,
 )
-from swelab.fluxes import FluxKind
 from swelab.hydrostatic import hr_reconstruct, modified_hr_corrections
 from swelab.fluxes import omega_flux
 from swelab.presets import build_preset, exact_profile

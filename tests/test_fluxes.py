@@ -6,7 +6,8 @@ from hypothesis import given, settings
 
 from swelab import kernel
 from swelab.core import DryInterfaceError, PhysConstants, PhysState, physical_flux
-from swelab.fluxes import ROE, FluxKind, RoeData, omega_flux, roe_average, roe_flux
+from swelab.fluxes import RoeData, omega_flux, roe_average, roe_flux
+from swelab.solver import SchemeConfig
 
 from conftest import wet_pairs, wet_states
 
@@ -41,24 +42,23 @@ def _absJ(roe):
     return _matrix(*kernel.abs_jacobian(roe.u, roe.c))
 
 
-# -- FluxKind -------------------------------------------------------------
+# -- flux names -----------------------------------------------------------
 
 def test_flux_kind_rules():
-    assert FluxKind("omega", "force").omega(0.9) == 0.5
-    assert FluxKind("omega", "gforce").omega(0.9) == pytest.approx(1.0 / 1.9)
-    assert FluxKind("omega", "lax-friedrichs").omega(0.5) == 0.0
+    assert kernel.FLUXES == ("roe", "force", "gforce", "lax-friedrichs")
+    assert kernel.OMEGA_RULES["force"](0.9) == 0.5
+    assert kernel.OMEGA_RULES["gforce"](0.9) == pytest.approx(1.0 / 1.9)
+    assert kernel.OMEGA_RULES["lax-friedrichs"](0.5) == 0.0
+    assert kernel.omega_weights("roe", 0.9, 0.1, 0.01) is None
+    assert kernel.omega_weights("gforce", 0.9, 0.1, 0.01) == \
+        kernel.omega_coefficients(1.0 / 1.9, 0.1, 0.01)
 
 
 def test_flux_kind_validation():
-    with pytest.raises(ValueError):
-        FluxKind("hll")
-    with pytest.raises(ValueError):
-        FluxKind("omega", "osher")
-    for rule in (1.5, 0.3, "lax-wendroff", None):
-        with pytest.raises(ValueError):
-            FluxKind("omega", rule)
-    with pytest.raises(ValueError):
-        ROE.omega(0.9)
+    """A configuration names its flux by one of ``kernel.FLUXES``, nothing else."""
+    for flux in ("hll", "omega", "osher", 1.5, 0.3, "lax-wendroff", None):
+        with pytest.raises(ValueError, match="flux"):
+            SchemeConfig(scheme="x", flux=flux, source="upwind")
 
 
 # -- Roe algebra ----------------------------------------------------------

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from swelab import kernel
 from swelab.core import ExtState, PhysConstants, PhysState
-from swelab.fluxes import ROE, FluxKind
 from swelab.hydrostatic import (
     hr_interface_terms,
     hr_reconstruct,
-    hr_source,
     modified_hr_corrections,
     pressure,
 )
+from swelab.solver import SchemeConfig
 
 from conftest import wet_pairs
 
@@ -69,14 +69,13 @@ def test_hr_source_is_segmentwise_path_integral(pair):
     iface = hr_reconstruct(Wl, Wr, c)
     if np.any(iface.large_step):
         return  # clipped interfaces are covered by the correction tests
-    split = hr_source(Wl, Wr, iface, c)
     hm, hp = iface.w_minus.h, iface.w_plus.h
+    minus, plus = kernel.hr_source(Wl.h, Wr.h, hm, hp, c.g)
     seg_l = c.g * 0.5 * (Wl.h + hm) * (iface.H_star - Wl.H)
     seg_r = c.g * 0.5 * (Wr.h + hp) * (Wr.H - iface.H_star)
     scale = max(1.0, abs(seg_l), abs(seg_r))
-    assert abs(split.minus[1] - seg_l) <= 1e-12 * scale
-    assert abs(split.plus[1] - seg_r) <= 1e-12 * scale
-    assert split.minus[0] == 0.0 and split.plus[0] == 0.0
+    assert abs(minus - seg_l) <= 1e-12 * scale
+    assert abs(plus - seg_r) <= 1e-12 * scale
 
 
 def test_modified_corrections_zero_outside_large_steps(c):
@@ -91,8 +90,8 @@ def test_variants_identical_outside_large_steps(c):
     """Bit-identical flux and split when no column truncates."""
     Wl = ExtState(PhysState(0.7, 0.1), 0.5)
     Wr = ExtState(PhysState(0.4, 0.2), 0.2)
-    Fo, so, _ = hr_interface_terms(Wl, Wr, ROE, "original", c)
-    Fm, sm, _ = hr_interface_terms(Wl, Wr, ROE, "modified", c)
+    Fo, so, _ = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("hr"), c)
+    Fm, sm, _ = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("modified-hr"), c)
     assert Fo == Fm
     assert so.minus == sm.minus and so.plus == sm.plus
 
@@ -104,14 +103,13 @@ def test_wet_wet_large_step_restores_full_integral(c):
     iface = hr_reconstruct(Wl, Wr, c)
     assert bool(iface.large_step)
     corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
-    split = hr_source(Wl, Wr, iface, c)
-    total_minus = split.minus[1] + corr.T_minus
-    hm = iface.w_minus.h
+    hm, hp = iface.w_minus.h, iface.w_plus.h
+    minus, plus = kernel.hr_source(Wl.h, Wr.h, hm, hp, c.g)
+    total_minus = minus + corr.T_minus
     assert total_minus == pytest.approx(
         c.g * 0.5 * (Wl.h + hm) * (iface.H_star - Wl.H), rel=1e-12
     )
-    total_plus = split.plus[1] + corr.T_plus
-    hp = iface.w_plus.h
+    total_plus = plus + corr.T_plus
     assert total_plus == pytest.approx(
         c.g * 0.5 * (Wr.h + hp) * (Wr.H - iface.H_star), rel=1e-12
     )
@@ -169,32 +167,24 @@ def test_gate_policies_can_disagree(c):
 def test_dry_dry_interface_zero_terms(c):
     Wl = ExtState(PhysState(0.0, 0.0), 0.2)
     Wr = ExtState(PhysState(0.0, 0.0), 0.8)
-    F, split, _ = hr_interface_terms(Wl, Wr, ROE, "modified", c)
+    F, split, _ = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("modified-hr"), c)
     assert F == (0.0, 0.0)
     assert split.minus[1] == 0.0 and split.plus[1] == 0.0
 
 
 def test_hr_interface_terms_validation(c):
     W = ExtState(PhysState(0.5, 0.1), 0.2)
-    with pytest.raises(ValueError):
-        hr_interface_terms(W, W, ROE, "upgraded", c)
-    with pytest.raises(ValueError):
-        hr_interface_terms(W, W, FluxKind("omega", "force"), "original", c)  # no dx/dt
-
-
-def test_hr_interface_terms_rejects_unknown_gate(c):
-    """Without a large step no correction runs, yet a bad gate still fails."""
-    W = ExtState(PhysState(0.5, 0.1), 0.2)
-    for variant in ("original", "modified"):
-        with pytest.raises(ValueError, match="gate"):
-            hr_interface_terms(W, W, ROE, variant, c, gate="typo")
+    with pytest.raises(ValueError, match="hydrostatic"):
+        hr_interface_terms(W, W, SchemeConfig.from_id("roe"), c)
+    with pytest.raises(ValueError, match="dx and dt"):
+        hr_interface_terms(W, W, SchemeConfig.from_id("force-hr"), c)
 
 
 def test_hr_interface_terms_omega_flux(c):
     W1 = ExtState(PhysState(0.5, 0.1), 0.2)
     W2 = ExtState(PhysState(0.45, 0.12), 0.3)
     F, split, iface = hr_interface_terms(
-        W1, W2, FluxKind("omega", "force"), "original", c, dx=0.1, dt=0.01
+        W1, W2, SchemeConfig.from_id("force-hr"), c, dx=0.1, dt=0.01
     )
     assert np.all(np.isfinite(F))
     assert not iface.large_step

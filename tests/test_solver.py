@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swelab.core import DryStateError, PhysConstants, SWEError
-from swelab.fluxes import FluxKind
 from swelab.presets import build_preset
 from swelab.solver import (
     SCHEMES,
@@ -76,7 +75,7 @@ def test_scheme_config_rejects_bad_input():
     with pytest.raises(ValueError):
         SchemeConfig.from_id("roe", cfl=1.5)
     with pytest.raises(ValueError):
-        SchemeConfig(scheme="x", flux=FluxKind("roe"), source="splitting")
+        SchemeConfig(scheme="x", flux="roe", source="splitting")
 
 
 def test_scheme_config_rejects_unknown_gate():
@@ -104,6 +103,12 @@ def test_stop_rule_validation():
         StopRule(steady_tol=1e-8)  # no backstop
     assert StopRule(final_time=2.0, max_time=5.0).time_bound() == 2.0
     assert StopRule(steady_tol=1e-8, max_time=5.0).time_bound() == 5.0
+    # a NaN bound never compares as reached and would step to max_steps
+    for field in ("final_time", "steady_tol", "max_time"):
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match=">= 0"):
+                StopRule(**{"final_time": 1.0, field: bad})
+    assert StopRule(final_time=0.0).time_bound() == 0.0
 
 
 def test_apply_boundaries_kinds():
@@ -194,8 +199,7 @@ def test_hr_lax_friedrichs_positivity(seed):
     """HR with the omega=0 flux never produces negative depth in one
     CFL-limited step, whatever the (wet/dry) initial data."""
     c = PhysConstants()
-    cfg = SchemeConfig(scheme="hr", flux=FluxKind("omega", "lax-friedrichs"),
-                       source="hr", cfl=0.9)
+    cfg = SchemeConfig(scheme="hr", flux="lax-friedrichs", source="hr", cfl=0.9)
     r = np.random.default_rng(seed)
     n = 30
     grid = Grid(0.0, 1.0, n)
@@ -210,6 +214,28 @@ def test_hr_lax_friedrichs_positivity(seed):
                        BoundaryCondition.open(), dt, c)
     assert info.min_h_pre_clip >= -1e-14
     assert np.all(after.h >= 0.0)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_mirror_symmetry_all_wet(seed):
+    """x -> L - x with q -> -q maps an all-wet run with open boundaries onto
+    the mirrored run, for every implemented scheme."""
+    r = np.random.default_rng(seed)
+    n = 40
+    h, q, H = r.uniform(0.5, 1.5, n), r.uniform(-0.3, 0.3, n), r.uniform(0.3, 0.7, n)
+
+    def spec(h, q, H):
+        return SimSpec(grid=Grid(0.0, 1.0, n), bathymetry=lambda x: H,
+                       init=lambda x, _: (h, q), bc_left=BoundaryCondition.open(),
+                       bc_right=BoundaryCondition.open(), stop=StopRule(final_time=0.5))
+
+    for scheme in (s for s, e in SCHEMES.items() if e["implemented"]):
+        cfg = SchemeConfig.from_id(scheme)
+        a = run(spec(h, q, H), cfg).final
+        b = run(spec(h[::-1], -q[::-1], H[::-1]), cfg).final
+        for got, want in ((b.h[::-1], a.h), (-b.q[::-1], a.q)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), scheme
 
 
 # -- run loop -------------------------------------------------------------
