@@ -25,7 +25,7 @@ from swelab.core import NearCriticalError, PhysConstants, SWEError, cell_velocit
 from swelab.diagnostics import convergence_study
 from swelab.kernel import GATE_POLICIES
 from swelab.presets import DEFAULT_CELLS, PARAM_DEFAULTS, build_preset, exact_profile
-from swelab.solver import SCHEMES, RunReport, SchemeConfig, StopRule, run
+from swelab.solver import SCHEMES, Grid, RunReport, SchemeConfig, StopRule, run
 
 _LADDER = (100, 200, 400, 800, 1600, 3200)
 _FULL_LADDER = _LADDER + (6400, 12800)
@@ -55,6 +55,16 @@ def _parse_until(text):
         return StopRule(final_time=float(text[5:]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_cells(text):
+    """--cells N -> N, rejected below the 2 cells a ``Grid`` needs (an argparse type)."""
+    try:
+        n = int(text)
+        Grid(0.0, 1.0, n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
 
 
 def _config_flags(path):
@@ -221,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--scheme", required=True, help="scheme id")
         if runs:  # a convergence ladder picks its own meshes and stop rules
-            sp.add_argument("--cells", type=int, default=None)
+            sp.add_argument("--cells", type=_parse_cells, default=None)
             sp.add_argument("--until", type=_parse_until, default=None, help="steady | time=T")
         sp.add_argument("--cfl", type=float, default=0.9)
         sp.add_argument("--gate", choices=GATE_POLICIES, default="dimensional")

@@ -14,7 +14,8 @@ Conventions used throughout the package:
 All operations accept scalars or numpy arrays (broadcast elementwise)
 and return numpy values; the oracles ``exact_step_state`` /
 ``exact_smooth_profile`` are scalar root-finding routines. The cell
-formulas ``cell_velocity`` and ``cell_flux`` take plain float arrays;
+formulas ``cell_velocity`` and ``cell_flux`` (``wet_cell_flux`` when
+every cell is wet) take plain float arrays;
 ``swelab.kernel`` evaluates every scheme with them.
 """
 
@@ -37,6 +38,7 @@ __all__ = [
     "ExtState",
     "EntropyValues",
     "cell_velocity",
+    "wet_cell_flux",
     "cell_flux",
     "velocity",
     "physical_flux",
@@ -142,17 +144,22 @@ def cell_velocity(h: np.ndarray, q: np.ndarray, h_dry: float) -> np.ndarray:
     return np.where(wet, q / np.maximum(h, h_dry), 0.0)
 
 
+def wet_cell_flux(h: np.ndarray, q: np.ndarray, g: float):
+    """``cell_flux`` of cells that are all wet: u = q/h and (q, q u + g h^2/2)."""
+    u = q / h
+    return u, q, q * u + 0.5 * g * h * h
+
+
 def cell_flux(h: np.ndarray, q: np.ndarray, g: float, h_dry: float):
     """``cell_velocity`` and the exact flux (q, q u + g h^2/2), the flux
     dividing by h down to zero depth; the empty cell has flux (0, 0)."""
     if (h > h_dry).all():
-        u = q / h
-        return u, q, q * u + 0.5 * g * h * h
+        return wet_cell_flux(h, q, g)
     if (h < 0).any():
         raise ValueError("negative water thickness")
-    wet = h > 0
-    u_flux = np.where(wet, q / np.maximum(h, 1e-300), 0.0)
-    return np.where(h > h_dry, u_flux, 0.0), q * wet, q * u_flux + 0.5 * g * h * h
+    full = h > 0
+    u_flux = np.where(full, q / np.maximum(h, 1e-300), 0.0)
+    return cell_velocity(h, q, h_dry), q * full, q * u_flux + 0.5 * g * h * h
 
 
 def velocity(w: PhysState, c: PhysConstants):
@@ -304,7 +311,8 @@ def exact_smooth_profile(
     """Smooth stationary profile sharing the inlet's Riemann invariants.
 
     At each position the depth solves the invariant equation for the
-    local bottom, on the branch fixed by the inlet regime. Raises
+    local bottom, on the branch fixed by the inlet regime; each distinct
+    bottom depth is solved once. Raises
     ``TranscriticalProfileError`` if some position admits no root on
     that branch.
     """
@@ -317,12 +325,16 @@ def exact_smooth_profile(
             raise TranscriticalProfileError("rest surface dips below the bottom")
         return PhysState(h=h, q=np.zeros_like(h))
     branch = _branch_of(inlet, c)
-    h = np.empty_like(Hs)
-    for i, H in enumerate(Hs):
+    # one root per distinct depth, solved in order of first occurrence so
+    # that the first position without a root is the one reported
+    levels, first, inverse = np.unique(Hs, return_index=True, return_inverse=True)
+    depths = np.empty_like(levels)
+    for k in np.argsort(first):
         try:
-            h[i] = solve_invariant_depth(q, inv2 + H, branch, c)
+            depths[k] = solve_invariant_depth(q, inv2 + levels[k], branch, c)
         except NoAdmissibleRootError as exc:
             raise TranscriticalProfileError(
-                f"transcritical profile: no {branch} root at x = {xs[i]}"
+                f"transcritical profile: no {branch} root at x = {xs[first[k]]}"
             ) from exc
+    h = depths[inverse]
     return PhysState(h=h, q=np.full_like(h, q))

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from swelab import kernel
-from swelab.core import PhysConstants, PhysState, velocity
+from swelab.core import PhysConstants, PhysState
 
 # Unused here since the formulas moved to ``kernel``; bound for bench/tracer.py.
-from swelab.core import physical_flux  # noqa: F401
+from swelab.core import physical_flux, velocity  # noqa: F401
 
 __all__ = ["RoeData", "roe_average", "roe_flux", "omega_flux"]
 
@@ -46,18 +46,16 @@ def _arrays(w_l: PhysState, w_r: PhysState):
 
 def roe_average(w_l: PhysState, w_r: PhysState, c: PhysConstants) -> RoeData:
     """Roe linearization of the interface (``kernel.roe_mean``)."""
-    hl, ql, hr, qr, _ = kernel.wet_pairs(*_arrays(w_l, w_r), c.h_dry)
-    ul, ur = velocity(PhysState(hl, ql), c), velocity(PhysState(hr, qr), c)
-    return RoeData(*kernel.roe_mean(hl, hr, ul, ur, c.g))
+    return RoeData(*kernel.sides(*_arrays(w_l, w_r), c.g, c.h_dry)[2])
 
 
 def roe_flux(w_l: PhysState, w_r: PhysState, c: PhysConstants):
     """Roe flux 1/2 (F_l + F_r) - 1/2 |J| (w_r - w_l)."""
-    return kernel.flux(*_arrays(w_l, w_r), c.g, c.h_dry)[0]
+    return kernel.flux(*_arrays(w_l, w_r), c.g, c.h_dry)
 
 
 def omega_flux(w_l: PhysState, w_r: PhysState, omega: float, dx: float, dt: float,
                c: PhysConstants):
     """1/2 (F_l + F_r) - 1/2 [(1-omega) dx/dt Id + omega dt/dx J^2] (w_r - w_l)."""
     omega_ab = kernel.omega_coefficients(omega, dx, dt)
-    return kernel.flux(*_arrays(w_l, w_r), c.g, c.h_dry, omega_ab)[0]
+    return kernel.flux(*_arrays(w_l, w_r), c.g, c.h_dry, omega_ab)

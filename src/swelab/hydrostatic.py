@@ -99,8 +99,9 @@ def hr_interface_terms(W_l: ExtState, W_r: ExtState, cfg, c: PhysConstants,
         raise ValueError("omega fluxes need dx and dt")
     hl, Hl, hr, Hr = _arrays(W_l, W_r)
     ql, qr = np.asarray(W_l.q, float), np.asarray(W_r.q, float)
+    ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     F, (_, minus), (_, plus) = kernel.hydrostatic(
-        hl, ql, Hl, hr, qr, Hr, c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate,
+        hl, ql, ul, Hl, hr, qr, ur, Hr, c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate,
         kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt))
     zero = np.zeros_like(hl + hr)
     split = SourceSplit(minus=(zero, minus), plus=(zero, plus))

@@ -7,23 +7,35 @@ functions at the bottom, ``upwind`` and ``hydrostatic``, and ``fluxes``,
 functions. The cell formulas (velocity and physical flux) come from
 ``swelab.core``.
 
-A scheme function takes the states on both sides of every interface
-(``hl, ql, Hl`` and ``hr, qr, Hr``: equal-length or 0-d float arrays)
-and returns ``(F, S-, S+)``, each a (mass, momentum) pair; S- goes to
-the left cell, S+ to the right one, and a mass part of ``None`` is
-zero. Interfaces the flux cannot see (dry on both sides, and for the
+Every flux is one formula, ``interface_flux``, fed with the states and
+physical fluxes of both sides of each interface (``sides``) and the
+``dissipation`` of its ``linearisation``. ``upwind`` takes a row of
+cells and, when every cell is wet, makes one cell pass over it (u,
+sqrt(h), sqrt(h) u and the physical flux), sliced for the two sides;
+``flux`` makes one per side. The hydrostatic reconstruction takes the
+cell velocities the same way. The linearisation (the Roe decomposition,
+or for an omega flux c^2 and the entries of J) is built once per
+interface and shared by the flux and its source split. Intermediate
+arrays die as soon as they are used: holding the decomposition and the
+|J| entries through the flux made a 3,200-cell hr step 5-18% slower.
+The row pass and the per-side passes compute each element with the same
+operations in the same order, so they give bit-identical results.
+
+Interfaces the flux cannot see (dry on both sides, and for the
 hydrostatic reconstruction also two empty or damp reconstructed
 columns) are computed against the dummy wet state (1, 0) and zeroed;
 the upwind schemes raise ``DryInterfaceError`` if every interface is
 dry. Masks and substitutions are skipped where they would change
-nothing.
+nothing. The scheme functions return ``(F, S-, S+)``, each a (mass,
+momentum) pair; S- goes to the left cell, S+ to the right one, and a
+mass part of ``None`` is zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from swelab.core import DryInterfaceError, cell_flux, cell_velocity
+from swelab.core import DryInterfaceError, cell_flux, cell_velocity, wet_cell_flux
 
 GATE_POLICIES = ("dimensional", "as-printed")
 
@@ -66,23 +78,76 @@ def _masked(wet, pair):
     return tuple(None if a is None else np.where(wet, a, 0.0) for a in pair)
 
 
-def roe_mean(hl, hr, ul, ur, g):
-    """Roe velocity (sqrt(h)-weighted) and celerity sqrt(g (h_l + h_r)/2),
-    which satisfy F(w_r) - F(w_l) = J (w_r - w_l)."""
-    sl, sr = np.sqrt(hl), np.sqrt(hr)
-    return (sl * ul + sr * ur) / (sl + sr), np.sqrt(g * 0.5 * (hl + hr))
+def weights(h, u):
+    """sqrt(h) and sqrt(h) u, the weights of each cell in the Roe average."""
+    s = np.sqrt(h)
+    return s, s * u
 
 
-def apply_jacobian(u, c, v0, v1):
-    """J (v0, v1) with J = [[0, 1], [c^2 - u^2, 2 u]]."""
-    return v1, (c * c - u * u) * v0 + 2.0 * u * v1
+def roe_mean(hl, sl, sul, hr, sr, sur, g):
+    """Roe velocity and celerity sqrt(g (h_l + h_r)/2) from the depths and
+    ``weights`` of both sides, which satisfy F(w_r) - F(w_l) = J (w_r - w_l)."""
+    return (sul + sur) / (sl + sr), np.sqrt(g * 0.5 * (hl + hr))
 
 
-def abs_jacobian(u, c):
-    """Entries (m00, m01, m10, m11) of |J| = K |Lambda| K^-1, eigenvalues u -/+ c."""
+def sides(hl, ql, hr, qr, g, h_dry, live=None):
+    """(h, q, F0, F1) on both sides of each interface, dummy where not
+    ``live`` (see ``wet_pairs``), the Roe average (u, c) and the mask."""
+    hl, ql, hr, qr, wet = wet_pairs(hl, ql, hr, qr, h_dry, live)
+    ul, fl0, fl1 = cell_flux(hl, ql, g, h_dry)
+    ur, fr0, fr1 = cell_flux(hr, qr, g, h_dry)
+    roe = roe_mean(hl, *weights(hl, ul), hr, *weights(hr, ur), g)
+    return (hl, ql, fl0, fl1), (hr, qr, fr0, fr1), roe, wet
+
+
+def row_sides(h, q, g, h_dry):
+    """``sides`` of the interfaces between consecutive cells of a row; when
+    every cell is wet, one cell pass sliced for both sides and no mask."""
+    if h.min() > h_dry:
+        u, f0, f1 = wet_cell_flux(h, q, g)
+        s, su = weights(h, u)
+        roe = roe_mean(h[:-1], s[:-1], su[:-1], h[1:], s[1:], su[1:], g)
+        return (h[:-1], q[:-1], f0[:-1], f1[:-1]), (h[1:], q[1:], f0[1:], f1[1:]), roe, None
+    return sides(h[:-1], q[:-1], h[1:], q[1:], g, h_dry)
+
+
+def row_states(h, q, H, h_dry):
+    """(h, q, u, H) on the left and on the right of each interface between
+    consecutive cells of a row, the ``cell_velocity`` u taken once per cell."""
+    u = cell_velocity(h, q, h_dry)
+    return h[:-1], q[:-1], u[:-1], H[:-1], h[1:], q[1:], u[1:], H[1:]
+
+
+def roe_decomposition(u, c):
+    """(u, c, l1, l2, |l1|, |l2|, 2c) with the eigenvalues l1, l2 = u -/+ c
+    and 2c = l2 - l1: what |J| and the Roe source split read."""
     l1, l2 = u - c, u + c
-    a, b = np.abs(l1), np.abs(l2)
-    d = 2.0 * c  # l2 - l1
+    return u, c, l1, l2, np.abs(l1), np.abs(l2), 2.0 * c
+
+
+def jacobian_terms(u, c):
+    """(c^2, c^2 - u^2, 2u): J = [[0, 1], [c^2 - u^2, 2u]] and the c^2 of
+    the omega source split."""
+    c2 = c * c
+    return c2, c2 - u * u, 2.0 * u
+
+
+def linearisation(u, c, omega_ab):
+    """What the flux and its source split share at each interface: the
+    ``roe_decomposition``, or for an omega flux the ``jacobian_terms``."""
+    return roe_decomposition(u, c) if omega_ab is None else jacobian_terms(u, c)
+
+
+def apply_jacobian(terms, v0, v1):
+    """J (v0, v1) from the ``jacobian_terms``."""
+    _, k, u2 = terms
+    return v1, k * v0 + u2 * v1
+
+
+def abs_jacobian(eig):
+    """Entries (m00, m01, m10, m11) of |J| = K |Lambda| K^-1 from the
+    ``roe_decomposition``."""
+    _, _, l1, l2, a, b, d = eig
     return (a * l2 - b * l1) / d, (b - a) / d, l1 * l2 * (a - b) / d, (b * l2 - a * l1) / d
 
 
@@ -108,52 +173,59 @@ def omega_weights(flux, cfl, dx, dt):
     return omega_coefficients(OMEGA_RULES[flux](cfl), dx, dt)
 
 
-def flux(hl, ql, hr, qr, g, h_dry, omega_ab=None, live=None):
-    """Roe flux 1/2 (F_l + F_r) - 1/2 |J| (w_r - w_l), or with ``omega_ab = (a, b)``
-    1/2 (F_l + F_r) - 1/2 (a Id + b J^2) (w_r - w_l), zero off ``live`` (see
-    ``wet_pairs``); with the Roe average (u, c) it used and the mask."""
-    hl, ql, hr, qr, wet = wet_pairs(hl, ql, hr, qr, h_dry, live)
-    ul, fl0, fl1 = cell_flux(hl, ql, g, h_dry)
-    ur, fr0, fr1 = cell_flux(hr, qr, g, h_dry)
-    u, c = roe_mean(hl, hr, ul, ur, g)
-    d0, d1 = hr - hl, qr - ql
+def dissipation(L, R, lin, omega_ab=None):
+    """|J| (w_r - w_l) for the Roe flux, or (a Id + b J^2) (w_r - w_l) with
+    ``omega_ab = (a, b)``, from the ``linearisation`` ``lin``."""
+    d0, d1 = R[0] - L[0], R[1] - L[1]
     if omega_ab is None:
-        m00, m01, m10, m11 = abs_jacobian(u, c)
-        v0, v1 = m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
-    else:
-        a, b = omega_ab
-        j0, j1 = apply_jacobian(u, c, d0, d1)
-        jj0, jj1 = apply_jacobian(u, c, j0, j1)
-        v0, v1 = a * d0 + b * jj0, a * d1 + b * jj1
-    F = (0.5 * (fl0 + fr0) - 0.5 * v0, 0.5 * (fl1 + fr1) - 0.5 * v1)
-    return _masked(wet, F), u, c, wet
+        m00, m01, m10, m11 = abs_jacobian(lin)
+        return m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
+    a, b = omega_ab
+    j0, j1 = apply_jacobian(lin, d0, d1)
+    jj0, jj1 = apply_jacobian(lin, j0, j1)
+    return a * d0 + b * jj0, a * d1 + b * jj1
 
 
-def roe_source(u, c, dH):
-    """S+- = 1/2 (Id +- |J| J^-1) (0, c^2 dH), as (S-, S+).
+def interface_flux(L, R, v):
+    """1/2 (F_l + F_r) - 1/2 v from the physical fluxes of the ``sides`` L,
+    R and their ``dissipation`` v: the one formula of every flux."""
+    return 0.5 * (L[2] + R[2]) - 0.5 * v[0], 0.5 * (L[3] + R[3]) - 0.5 * v[1]
+
+
+def flux(hl, ql, hr, qr, g, h_dry, omega_ab=None, live=None):
+    """Roe flux, or an omega flux with ``omega_ab = (a, b)``, of the states
+    on both sides of each interface, zero off ``live`` (see ``wet_pairs``)."""
+    L, R, (u, c), wet = sides(hl, ql, hr, qr, g, h_dry, live)
+    v = dissipation(L, R, linearisation(u, c, omega_ab), omega_ab)
+    return _masked(wet, interface_flux(L, R, v))
+
+
+def roe_source(eig, dH):
+    """S+- = 1/2 (Id +- |J| J^-1) (0, c^2 dH), as (S-, S+), from the
+    ``roe_decomposition``.
 
     |J| J^-1 (0, c^2) = c^2 K sgn(Lambda) K^-1 e2, each sign taken as
     lam / max(|lam|, lambda_floor) so sonic interfaces stay finite.
     """
-    l1, l2 = u - c, u + c
-    floor = lambda_floor(u, c)
-    s1 = l1 / np.maximum(np.abs(l1), floor)
-    s2 = l2 / np.maximum(np.abs(l2), floor)
-    d = 2.0 * c
+    u, c, l1, l2, a, b, d = eig
     c2 = c * c
+    floor = lambda_floor(u, c)
+    s1 = l1 / np.maximum(a, floor)
+    s2 = l2 / np.maximum(b, floor)
     up0 = c2 * (s2 - s1) / d * dH
     up1 = c2 * (s2 * l2 - s1 * l1) / d * dH
     c2dH = c2 * dH
     return (0.5 * (0.0 - up0), 0.5 * (c2dH - up1)), (0.5 * (0.0 + up0), 0.5 * (c2dH + up1))
 
 
-def omega_source(u, c, dH, a, b):
+def omega_source(terms, dH, a, b):
     """S+- = 1/2 [(0, c^2 dH) +- (a (J*)^-1 + b J) (0, c^2 dH)], as (S-, S+),
-    with (J*)^-1 (0, c^2 dH) = (dH, 0) and J (0, c^2 dH) = (c^2 dH, 2 u c^2 dH)."""
-    c2 = c * c
+    from the ``jacobian_terms``, with (J*)^-1 (0, c^2 dH) = (dH, 0) and
+    J (0, c^2 dH) = (c^2 dH, 2 u c^2 dH)."""
+    c2, _, u2 = terms
     c2dH = c2 * dH
     up0 = a * dH + b * c2dH
-    up1 = b * (2.0 * u * c2 * dH)
+    up1 = b * (u2 * c2 * dH)
     return (0.5 * (0.0 - up0), 0.5 * (c2dH - up1)), (0.5 * (0.0 + up0), 0.5 * (c2dH + up1))
 
 
@@ -208,23 +280,27 @@ def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
     return np.where(apply, t_minus, 0.0), np.where(apply, t_plus, 0.0), gated
 
 
-def upwind(hl, ql, Hl, hr, qr, Hr, g, h_dry, omega_ab=None):
+def upwind(h, q, H, g, h_dry, omega_ab=None):
     """Roe flux with the characteristic source split, or an omega centred
-    flux, ``omega_ab = (a, b)``, with its paired source split."""
-    F, u, c, wet = flux(hl, ql, hr, qr, g, h_dry, omega_ab)
+    flux, ``omega_ab = (a, b)``, with its paired source split, over the
+    interfaces between consecutive cells of the row (h, q, H)."""
+    L, R, (u, c), wet = row_sides(h, q, g, h_dry)
+    lin = linearisation(u, c, omega_ab)
+    F = interface_flux(L, R, dissipation(L, R, lin, omega_ab))
+    dH = H[1:] - H[:-1]
     if omega_ab is None:
-        minus, plus = roe_source(u, c, Hr - Hl)
+        minus, plus = roe_source(lin, dH)
     else:
-        minus, plus = omega_source(u, c, Hr - Hl, *omega_ab)
-    return F, _masked(wet, minus), _masked(wet, plus)
+        minus, plus = omega_source(lin, dH, *omega_ab)
+    return _masked(wet, F), _masked(wet, minus), _masked(wet, plus)
 
 
-def hydrostatic(hl, ql, Hl, hr, qr, Hr, g, h_dry, modified, gate, omega_ab=None):
+def hydrostatic(hl, ql, ul, Hl, hr, qr, ur, Hr, g, h_dry, modified, gate, omega_ab=None):
     """Hydrostatic reconstruction over the Roe flux, or an omega flux with
-    ``omega_ab = (a, b)``; ``modified`` adds the large-step corrections.
+    ``omega_ab = (a, b)``, from the states and cell velocities on both
+    sides (see ``row_states``); ``modified`` adds the large-step corrections.
     The flux is zero unless a side is wet and so is a reconstructed column
     (``live``; not, e.g., at rest against a bank), the sources unless a side is."""
-    ul, ur = cell_velocity(hl, ql, h_dry), cell_velocity(hr, qr, h_dry)
     recon = hr_depths(hl, Hl, hr, Hr)
     _, hm, hp, large = recon
     minus, plus = split = hr_source(hl, hr, hm, hp, g)
@@ -234,7 +310,7 @@ def hydrostatic(hl, ql, Hl, hr, qr, Hr, g, h_dry, modified, gate, omega_ab=None)
         minus, plus = minus + t_minus, plus + t_plus
     wet = (hl > h_dry) | (hr > h_dry)
     live = wet & ((hm > h_dry) | (hp > h_dry))
-    F = flux(hm, hm * ul, hp, hp * ur, g, h_dry, omega_ab, live)[0]
+    F = flux(hm, hm * ul, hp, hp * ur, g, h_dry, omega_ab, live)
     if wet.all():
         wet = None
     return F, _masked(wet, (None, minus)), _masked(wet, (None, plus))

@@ -13,6 +13,7 @@ interfaces of a ghost-padded array, by the plain-array formulas of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -269,8 +270,8 @@ class RunReport:
 def cfl_dt(state: SimState, cfg: SchemeConfig, grid: Grid, c: PhysConstants) -> float:
     """dt = CFL dx / max over wet cells of (|u| + sqrt(g h))."""
     h, q = state.h, state.q
-    wet = h > c.h_dry
-    if not wet.all():
+    if not h.min() > c.h_dry:
+        wet = h > c.h_dry
         if not wet.any():
             raise DryStateError("all cells dry, no wave speed")
         h, q = h[wet], q[wet]
@@ -306,11 +307,11 @@ def interface_terms(hp: np.ndarray, qp: np.ndarray, Hp: np.ndarray, cfg: SchemeC
                     dx: float, dt: float, c: PhysConstants):
     """(F0, F1), (Sm0, Sm1), (Sp0, Sp1) over the interfaces of the padded
     arrays (see ``kernel``); dry/dry interfaces carry zeros."""
-    sides = (hp[:-1], qp[:-1], Hp[:-1], hp[1:], qp[1:], Hp[1:], c.g, c.h_dry)
     omega_ab = kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt)
     if cfg.source == "upwind":
-        return kernel.upwind(*sides, omega_ab)
-    return kernel.hydrostatic(*sides, cfg.source == "modified-hr", cfg.gate, omega_ab)
+        return kernel.upwind(hp, qp, Hp, c.g, c.h_dry, omega_ab)
+    return kernel.hydrostatic(*kernel.row_states(hp, qp, Hp, c.h_dry), c.g, c.h_dry,
+                              cfg.source == "modified-hr", cfg.gate, omega_ab)
 
 
 def step(state: SimState, cfg: SchemeConfig, grid: Grid,
@@ -323,34 +324,39 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
     momentum. Raises on non-finite values, naming the first bad cell.
     """
     gl, gr = _ghost(state, bc_left, 0, -1), _ghost(state, bc_right, -1, 0)
-    hp, qp, Hp = (_padded(a, l, r) for a, l, r in zip((state.h, state.q, state.H), gl, gr))
-    F, Sm, Sp = interface_terms(hp, qp, Hp, cfg, grid.dx, dt, c)
-    r = dt / grid.dx
-    h = state.h - r * (F[0][1:] - F[0][:-1])
-    if Sm[0] is not None:
-        h = h + r * (Sp[0][:-1] + Sm[0][1:])
-    q = state.q - r * (F[1][1:] - F[1][:-1]) + r * (Sp[1][:-1] + Sm[1][1:])
-    if not (np.isfinite(h).all() and np.isfinite(q).all()):
-        bad = int(np.argmax(~(np.isfinite(h) & np.isfinite(q))))
-        raise SWEError(f"non-finite state in cell {bad} at t = {state.t + dt}")
+    hp = _padded(state.h, gl[0], gr[0])
+    qp = _padded(state.q, gl[1], gr[1])
+    Hp = _padded(state.H, gl[2], gr[2])
+    dx = grid.dx
+    (F0, F1), (Sm0, Sm1), (Sp0, Sp1) = interface_terms(hp, qp, Hp, cfg, dx, dt, c)
+    r = dt / dx
+    h = state.h - r * (F0[1:] - F0[:-1])
+    if Sm0 is not None:
+        h = h + r * (Sp0[:-1] + Sm0[1:])
+    q = state.q - r * (F1[1:] - F1[:-1]) + r * (Sp1[:-1] + Sm1[1:])
+    # a non-finite value makes its sum non-finite; only then look cell by cell
+    if not math.isfinite(h.sum() + q.sum()):
+        finite = np.isfinite(h) & np.isfinite(q)
+        if not finite.all():
+            bad = int(np.argmax(~finite))
+            raise SWEError(f"non-finite state in cell {bad} at t = {state.t + dt}")
     min_h = float(h.min())
     clips = minor = 0
     if min_h < 0:
         clips = int(np.count_nonzero(h < -c.h_dry))
         minor = int(np.count_nonzero(h < 0)) - clips
         h = np.maximum(h, 0.0)
-    wet = h > c.h_dry
-    if not wet.all():
-        q = np.where(wet, q, 0.0)
-    sm0 = 0.0 if Sm[0] is None else Sm[0][0]
-    sp0 = 0.0 if Sp[0] is None else Sp[0][-1]
+    if min_h <= c.h_dry:  # else every cell is wet
+        q = np.where(h > c.h_dry, q, 0.0)
+    sm0 = 0.0 if Sm0 is None else Sm0[0]
+    sp0 = 0.0 if Sp0 is None else Sp0[-1]
     info = StepInfo(
         clip_events=clips,
         minor_clip_events=minor,
         min_h_pre_clip=min_h,
         ghosts=(gl, gr),
-        left_flux=(F[0][0] - sm0, F[1][0] - Sm[1][0]),
-        right_flux=(F[0][-1] + sp0, F[1][-1] + Sp[1][-1]),
+        left_flux=(F0[0] - sm0, F1[0] - Sm1[0]),
+        right_flux=(F0[-1] + sp0, F1[-1] + Sp1[-1]),
     )
     return SimState(state.t + dt, h, q, state.H), info
 
@@ -380,6 +386,7 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
     """
     state = initial_state(spec, c)
     grid = spec.grid
+    dx = grid.dx
     stop = spec.stop
     bound = stop.time_bound()
     entropy = [] if track_entropy else None
@@ -409,11 +416,11 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         clips += info.clip_events
         minor += info.minor_clip_events
         res = float((np.abs(state.h - before.h).sum() + np.abs(state.q - before.q).sum())
-                    * grid.dx / dt)
+                    * dx / dt)
         if residual0 is None:
             residual0 = res
         if track_entropy:
-            entropy.append(entropy_production_total(before, state, dt, grid.dx, c, info))
+            entropy.append(entropy_production_total(before, state, dt, dx, c, info))
         if stop.steady_tol is not None and res <= stop.steady_tol * (residual0 + 1e-30):
             steady = True
 

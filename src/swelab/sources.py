@@ -52,7 +52,7 @@ def roe_source_split(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> SourceSp
     downstream when supersonic, eigenvalue signs floored at sonic points."""
     dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
     roe = roe_average(W_l.state, W_r.state, c)
-    minus, plus = kernel.roe_source(roe.u, roe.c, dH)
+    minus, plus = kernel.roe_source(kernel.roe_decomposition(roe.u, roe.c), dH)
     return SourceSplit(minus=minus, plus=plus)
 
 
@@ -62,7 +62,7 @@ def omega_source_split(W_l: ExtState, W_r: ExtState, omega: float, dx: float, dt
     a, b = kernel.omega_coefficients(omega, dx, dt)
     dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
     roe = roe_average(W_l.state, W_r.state, c)
-    minus, plus = kernel.omega_source(roe.u, roe.c, dH, a, b)
+    minus, plus = kernel.omega_source(kernel.jacobian_terms(roe.u, roe.c), dH, a, b)
     return SourceSplit(minus=minus, plus=plus)
 
 

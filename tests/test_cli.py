@@ -174,6 +174,23 @@ def test_bad_stop_time_exits_2_before_any_run(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_too_few_cells_exits_2_before_any_run(tmp_path, capsys):
+    """--cells below the 2 a grid needs is a usage error for run and sweep
+    alike, reported with the grid's message; no run starts, no file is written."""
+    rc = cli.main(["sweep", "--test", "3", "--scheme", "hr", "--scheme", "roe", "--cells", "1",
+                   "--until", "time=0.02", "--sweep", "H_r=0.2,0.3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "need at least 2 cells" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+    assert cli.main(["run", "--test", "3", "--scheme", "roe", "--cells", "1",
+                     "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+    for text in ("1", "0", "-3", "x", "2.5"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_cells(text)
+    assert cli._parse_cells("2") == 2
+
+
 def test_parse_until_rejects_times_that_cannot_end_a_run():
     for text in ("time=nan", "time=inf", "time=-1", "time=x", "never"):
         with pytest.raises(argparse.ArgumentTypeError):

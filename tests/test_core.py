@@ -209,3 +209,54 @@ def test_phys_constants_validation():
         PhysConstants(g=-1.0)
     with pytest.raises(ValueError):
         PhysConstants(h_dry=1.0)
+
+
+def _profile_cell_by_cell(bathymetry, inlet, xs, c):
+    """Reference for ``exact_smooth_profile``: one root per position, in order."""
+    q, inv2 = riemann_invariant(inlet, c)
+    branch = "supercritical" if froude_squared(inlet.state, c) > 1.0 else "subcritical"
+    Hs = np.asarray(bathymetry(xs), dtype=float)
+    h = np.empty_like(Hs)
+    for i, H in enumerate(Hs):
+        try:
+            h[i] = solve_invariant_depth(q, inv2 + H, branch, c)
+        except NoAdmissibleRootError as exc:
+            raise TranscriticalProfileError(
+                f"transcritical profile: no {branch} root at x = {xs[i]}") from exc
+    return h
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_smooth_profile_matches_the_per_cell_loop_bitwise(c, seed):
+    """One root per distinct bottom depth gives the per-cell profile bit for
+    bit, on test 6 ladders from 100 to 3,200 cells."""
+    from swelab.presets import build_preset
+
+    r = np.random.default_rng(seed)
+    dH, dl = round(r.uniform(0.25, 0.35), 3), round(r.uniform(0.15, 0.25), 3)
+    inlet = ExtState(PhysState(0.5, 1.2), 0.1)
+    for n in (100, 200, 400, 800, 1600, 3200):
+        spec = build_preset(6, n_cells=n, dH=dH, dl=dl)
+        x = spec.grid.centers()
+        prof = exact_smooth_profile(spec.bathymetry, inlet, x, c)
+        want = _profile_cell_by_cell(spec.bathymetry, inlet, x, c)
+        assert prof.h.tobytes() == want.tobytes(), n
+        assert prof.q.tobytes() == np.full_like(want, 1.2).tobytes()
+
+
+def test_exact_smooth_profile_names_the_first_position_without_a_root(c):
+    """Two bottom levels admit no root; the one met first is reported, as
+    the per-cell loop reports it, though the other is the lower depth."""
+    inlet = ExtState(PhysState(1.0, 0.5), 1.0)
+
+    def bathy(x):
+        x = np.asarray(x, float)
+        return np.where(x < 0.3, 1.0, np.where(x < 0.6, 0.3, 0.2))
+
+    xs = np.linspace(0.0, 1.0, 21)
+    with pytest.raises(TranscriticalProfileError) as want:
+        _profile_cell_by_cell(bathy, inlet, xs, c)
+    with pytest.raises(TranscriticalProfileError) as got:
+        exact_smooth_profile(bathy, inlet, xs, c)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(f"x = {xs[6]}")

@@ -52,8 +52,9 @@ def test_hydrostatic_zeroes_the_flux_of_a_damp_reconstructed_pair(modified):
     hr, qr, Hr = np.zeros(1), np.zeros(1), np.array([0.4 + 5e-9])
     hm = hl - Hl + Hr
     assert 0 < hm[0] <= c.h_dry
+    ul, ur = core.cell_velocity(hl, ql, c.h_dry), core.cell_velocity(hr, qr, c.h_dry)
     F, (m0, minus), (p0, plus) = kernel.hydrostatic(
-        hl, ql, Hl, hr, qr, Hr, c.g, c.h_dry, modified, "dimensional")
+        hl, ql, ul, Hl, hr, qr, ur, Hr, c.g, c.h_dry, modified, "dimensional")
     assert F[0].tolist() == [0.0] and F[1].tolist() == [0.0]
     assert m0 is None and p0 is None
     assert minus[0] == pytest.approx(0.5 * c.g * (hm[0] ** 2 - hl[0] ** 2), rel=1e-12)

@@ -238,6 +238,34 @@ def test_mirror_symmetry_all_wet(seed):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), scheme
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_mirror_symmetry_dry_front(seed):
+    """The mirror map of ``test_mirror_symmetry_all_wet`` on a run whose
+    cells beyond a seeded index start dry: every scheme steps through its
+    dry-interface paths, and FORCE/GFORCE also clip, on both sides alike."""
+    r = np.random.default_rng(seed)
+    n = 40
+    k = int(r.integers(10, 31))
+    h = np.where(np.arange(n) < k, r.uniform(0.5, 1.5, n), 0.0)
+    q = np.where(h > 0, r.uniform(-0.3, 0.3, n), 0.0)
+    H = r.uniform(0.3, 0.7, n)
+
+    def spec(h, q, H):
+        return SimSpec(grid=Grid(0.0, 1.0, n), bathymetry=lambda x: H,
+                       init=lambda x, _: (h, q), bc_left=BoundaryCondition.open(),
+                       bc_right=BoundaryCondition.open(), stop=StopRule(final_time=0.1))
+
+    for scheme in (s for s, e in SCHEMES.items() if e["implemented"]):
+        cfg = SchemeConfig.from_id(scheme)
+        report = run(spec(h, q, H), cfg)
+        a = report.final
+        b = run(spec(h[::-1], -q[::-1], H[::-1]), cfg).final
+        for got, want in ((b.h[::-1], a.h), (-b.q[::-1], a.q)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), scheme
+        if scheme in ("force-wb", "gforce-wb"):
+            assert report.clip_events > 0, scheme
+
+
 # -- run loop -------------------------------------------------------------
 
 def test_run_reaches_steady_on_rest():
