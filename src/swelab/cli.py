@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from swelab.core import NearCriticalError, PhysConstants, SWEError, cell_velocity
+from swelab.core import PhysConstants, SWEError, cell_velocity
 from swelab.diagnostics import convergence_study
 from swelab.kernel import GATE_POLICIES
 from swelab.presets import DEFAULT_CELLS, PARAM_DEFAULTS, build_preset, exact_profile
@@ -275,10 +275,10 @@ def main(argv=None) -> int:
     except NotImplementedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SWEError, NearCriticalError, OSError) as exc:
+    except (SWEError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

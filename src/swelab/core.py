@@ -242,6 +242,8 @@ def solve_invariant_depth(q: float, target: float, branch: str, c: PhysConstants
     """
     q = float(q)
     target = float(target)
+    if not (np.isfinite(q) and np.isfinite(target)):
+        raise ValueError(f"invariant level and discharge must be finite, got {target}, {q}")
     if q == 0.0:
         if target <= 0.0:
             raise NoAdmissibleRootError("invariant level gives non-positive depth")
@@ -294,7 +296,7 @@ def exact_step_state(W_l: ExtState, H_r: float, c: PhysConstants) -> PhysState:
     q, inv2 = riemann_invariant(W_l, c)
     if q == 0.0:
         h_r = float(W_l.h) - float(W_l.H) + float(H_r)
-        if h_r <= 0.0:
+        if not h_r > 0.0:
             raise NoAdmissibleRootError("rest surface lies below the bottom at H_r")
         return PhysState(h=h_r, q=0.0)
     branch = _branch_of(W_l, c)
@@ -321,7 +323,7 @@ def exact_smooth_profile(
     Hs = np.asarray(bathymetry(xs), dtype=float)
     if q == 0.0:
         h = inv2 + Hs
-        if np.any(h <= 0):
+        if not np.all(h > 0):
             raise TranscriticalProfileError("rest surface dips below the bottom")
         return PhysState(h=h, q=np.zeros_like(h))
     branch = _branch_of(inlet, c)

@@ -25,20 +25,22 @@ from swelab.solver import BoundaryCondition, Grid, SimSpec, StopRule
 
 __all__ = ["build_preset", "exact_profile", "DEFAULT_CELLS", "PARAM_DEFAULTS"]
 
-DEFAULT_CELLS = {1: 50, 2: 200, 3: 200, 4: 200, 5: 200, 6: 100}
-
-PARAM_DEFAULTS = {
-    1: dict(alpha=16.0),
-    2: dict(),
-    3: dict(H_r=0.45, q_bc=0.1),
-    4: dict(H_r=0.4),
-    5: dict(x_l=3.75),
-    6: dict(dH=0.3, dl=0.2),
+# Per test id: the domain, the default cell count, and for each free
+# parameter its default and a test of the values it admits.
+_TESTS = {
+    1: ((0.0, 3.0), 50, {"alpha": (16.0, lambda v: 0.0 < v <= 100.0)}),
+    2: ((0.0, 25.0), 200, {}),
+    3: ((0.0, 1.0), 200, {"H_r": (0.45, lambda v: 0.0 < v <= 1.0), "q_bc": (0.1, np.isfinite)}),
+    4: ((0.0, 1.0), 200, {"H_r": (0.4, lambda v: 0.0 < v <= 1.0)}),
+    5: ((0.0, 5.0), 200, {"x_l": (3.75, lambda v: 0.0 < v < 4.0)}),
+    6: ((0.0, 5.0), 100, {"dH": (0.3, lambda v: 0.0 <= v < np.inf),
+                          "dl": (0.2, lambda v: 0.0 <= v < np.inf)}),
 }
 
-_DOMAINS = {1: (0.0, 3.0), 2: (0.0, 25.0), 3: (0.0, 1.0), 4: (0.0, 1.0),
-            5: (0.0, 5.0), 6: (0.0, 5.0)}
+DEFAULT_CELLS = {t: cells for t, (_, cells, _) in _TESTS.items()}
+PARAM_DEFAULTS = {t: {k: d for k, (d, _) in free.items()} for t, (_, _, free) in _TESTS.items()}
 
+_X_STEP = 0.5  # where the bottom of tests 3 and 4 steps
 _STEADY_TOL = 1e-8
 
 
@@ -51,9 +53,9 @@ def _bathy_bump(x):
     return np.where((x > 8.0) & (x < 12.0), -0.2 + 0.05 * (x - 10.0) ** 2, 0.0)
 
 
-def _bathy_step(x, H_l, H_r, x_step):
+def _bathy_step(x, H_l, H_r):
     x = np.asarray(x, float)
-    return np.where(x < x_step, H_l, H_r)
+    return np.where(x < _X_STEP, H_l, H_r)
 
 
 def _bathy_ramp_up(x, x_l):
@@ -86,25 +88,23 @@ def _ic_waterline(x, H, q0):
 
 def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
     """SimSpec for one benchmark; free parameters as keyword overrides."""
-    if test_id not in DEFAULT_CELLS:
+    if test_id not in _TESTS:
         raise ValueError(f"unknown test id {test_id!r}")
-    defaults = dict(PARAM_DEFAULTS[test_id])
-    unknown = set(params) - set(defaults)
+    (a, b), cells, free = _TESTS[test_id]
+    unknown = set(params) - set(free)
     if unknown:
-        raise ValueError(f"test {test_id} takes {sorted(defaults)}, got {sorted(unknown)}")
-    p = {**defaults, **params}
-    n = int(n_cells) if n_cells is not None else DEFAULT_CELLS[test_id]
-    a, b = _DOMAINS[test_id]
-    grid = Grid(a, b, n)
-    dx = grid.dx
+        raise ValueError(f"test {test_id} takes {sorted(free)}, got {sorted(unknown)}")
+    p = {}
+    for name, (default, admits) in free.items():
+        p[name] = v = float(params.get(name, default))
+        if not admits(v):
+            raise ValueError(f"{name} out of range: {v}")
+    grid = Grid(a, b, int(n_cells) if n_cells is not None else cells)
 
     if test_id == 1:
-        alpha = float(p["alpha"])
-        if not 0.0 < alpha <= 100.0:
-            raise ValueError(f"alpha out of range: {alpha}")
         return SimSpec(
             grid=grid,
-            bathymetry=partial(_bathy_slope, alpha=alpha),
+            bathymetry=partial(_bathy_slope, alpha=p["alpha"]),
             init=partial(_ic_const, h0=0.02, q0=0.01),
             bc_left=BoundaryCondition.both(0.02, 0.01),
             bc_right=BoundaryCondition.open(),
@@ -121,56 +121,34 @@ def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
             stop=StopRule(steady_tol=_STEADY_TOL, max_time=600.0),
         )
 
-    if test_id == 3:
-        H_r = float(p["H_r"])
-        if not 0.0 < H_r <= 1.0:
-            raise ValueError(f"H_r out of range: {H_r}")
+    if test_id in (3, 4):
+        # the two steps differ only in the inlet bottom and discharge
+        inlet_H, inlet_q = (0.1, p["q_bc"]) if test_id == 3 else (0.8, 0.15)
         return SimSpec(
             grid=grid,
-            bathymetry=partial(_bathy_step, H_l=0.1, H_r=H_r, x_step=0.5),
+            bathymetry=partial(_bathy_step, H_l=inlet_H, H_r=p["H_r"]),
             init=partial(_ic_const, h0=0.1, q0=0.15),
-            bc_left=BoundaryCondition.both(0.1, float(p["q_bc"])),
+            bc_left=BoundaryCondition.both(0.1, inlet_q),
             bc_right=BoundaryCondition.open(),
             stop=StopRule(steady_tol=_STEADY_TOL, max_time=100.0),
-            probes=(("h_l", 0.5 - 5 * dx), ("h_r", 0.5 + 5 * dx)),
-        )
-
-    if test_id == 4:
-        H_r = float(p["H_r"])
-        if not 0.0 < H_r <= 1.0:
-            raise ValueError(f"H_r out of range: {H_r}")
-        return SimSpec(
-            grid=grid,
-            bathymetry=partial(_bathy_step, H_l=0.8, H_r=H_r, x_step=0.5),
-            init=partial(_ic_const, h0=0.1, q0=0.15),
-            bc_left=BoundaryCondition.both(0.1, 0.15),
-            bc_right=BoundaryCondition.open(),
-            stop=StopRule(steady_tol=_STEADY_TOL, max_time=100.0),
-            probes=(("h_l", 0.5 - 5 * dx), ("h_r", 0.5 + 5 * dx)),
+            probes=(("h_l", _X_STEP - 5 * grid.dx), ("h_r", _X_STEP + 5 * grid.dx)),
         )
 
     if test_id == 5:
-        x_l = float(p["x_l"])
-        if not 0.0 < x_l < 4.0:
-            raise ValueError(f"x_l must lie in (0, 4), got {x_l}")
         return SimSpec(
             grid=grid,
-            bathymetry=partial(_bathy_ramp_up, x_l=x_l),
+            bathymetry=partial(_bathy_ramp_up, x_l=p["x_l"]),
             init=partial(_ic_waterline, q0=0.9),
             bc_left=BoundaryCondition.both(0.1, 0.9),
             bc_right=BoundaryCondition.open(),
             stop=StopRule(final_time=2.5),
-            probes=(("h_l", x_l - 5 * dx), ("h_r", 4.0 + 5 * dx)),
+            probes=(("h_l", p["x_l"] - 5 * grid.dx), ("h_r", 4.0 + 5 * grid.dx)),
         )
 
     # test 6
-    dH = float(p["dH"])
-    dl = float(p["dl"])
-    if dH < 0 or dl < 0:
-        raise ValueError("dH and dl must be nonnegative")
     return SimSpec(
         grid=grid,
-        bathymetry=partial(_bathy_ramp_down, dH=dH, dl=dl),
+        bathymetry=partial(_bathy_ramp_down, dH=p["dH"], dl=p["dl"]),
         init=partial(_ic_const, h0=0.5, q0=1.2),
         bc_left=BoundaryCondition.both(0.5, 1.2),
         bc_right=BoundaryCondition.open(),
@@ -181,22 +159,21 @@ def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
 def exact_profile(test_id: int, x, c: PhysConstants | None = None, **params):
     """Exact stationary depth at positions x, where one is known.
 
-    Test 3/4: the stationary contact linking the inlet state to the
-    far side of the step. Test 6: the smooth stationary profile sharing
-    the inlet Riemann invariants.
+    Takes the parameters of ``build_preset``, with the same checks, and
+    reads the inlet state and the bottom from the spec it builds.
+    Test 3/4: the stationary contact linking the inlet state to the far
+    side of the step. Test 6: the smooth stationary profile sharing the
+    inlet Riemann invariants.
     """
+    spec = build_preset(test_id, **params)
+    if test_id not in (3, 4, 6):
+        raise ValueError(f"no exact profile for test {test_id}")
     if c is None:
         c = PhysConstants()
     x = np.asarray(x, float)
-    p = {**PARAM_DEFAULTS[test_id], **params}
-    if test_id in (3, 4):
-        H_l = 0.1 if test_id == 3 else 0.8
-        q = float(p["q_bc"]) if test_id == 3 else 0.15
-        W_l = ExtState(PhysState(0.1, q), H_l)
-        right = exact_step_state(W_l, float(p["H_r"]), c)
-        return np.where(x < 0.5, 0.1, right.h)
+    inlet_H = float(spec.bathymetry(spec.grid.x_left))
+    inlet = ExtState(PhysState(spec.bc_left.h, spec.bc_left.q), inlet_H)
     if test_id == 6:
-        inlet = ExtState(PhysState(0.5, 1.2), 0.1)
-        bathy = partial(_bathy_ramp_down, dH=float(p["dH"]), dl=float(p["dl"]))
-        return exact_smooth_profile(bathy, inlet, x, c).h
-    raise ValueError(f"no exact profile for test {test_id}")
+        return exact_smooth_profile(spec.bathymetry, inlet, x, c).h
+    right = exact_step_state(inlet, float(spec.bathymetry(spec.grid.x_right)), c)
+    return np.where(x < _X_STEP, inlet.h, right.h)

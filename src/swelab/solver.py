@@ -141,6 +141,10 @@ class BoundaryCondition:
         missing = [k for k in _BC_VALUES[self.kind] if getattr(self, k) is None]
         if missing:
             raise ValueError(f"a {self.kind!r} boundary needs {' and '.join(missing)}")
+        if self.h is not None and not 0.0 <= self.h < math.inf:
+            raise ValueError(f"a boundary depth must be finite and >= 0, got {self.h}")
+        if self.q is not None and not math.isfinite(self.q):
+            raise ValueError(f"a boundary discharge must be finite, got {self.q}")
 
     @classmethod
     def open(cls):

@@ -151,6 +151,18 @@ def test_sweep_lets_a_program_error_out(tmp_path, monkeypatch):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_run_lets_a_key_error_out(tmp_path, monkeypatch):
+    """No input reaches a KeyError, so one is a program error, not a usage error."""
+    def broken_run(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    with pytest.raises(KeyError, match="boom"):
+        cli.main(["run", "--test", "3", "--scheme", "hr", "--cells", "20",
+                  "--until", "time=0.02", "--out", str(tmp_path)])
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_sweep_row_without_a_step_has_no_residual(tmp_path):
     rc = cli.main(["sweep", "--test", "3", "--scheme", "hr", "--cells", "20",
                    "--until", "time=0", "--sweep", "H_r=0.2", "--out", str(tmp_path)])

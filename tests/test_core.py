@@ -126,6 +126,29 @@ def test_solve_invariant_depth_zero_discharge(c):
 def test_solve_invariant_depth_bad_branch(c):
     with pytest.raises(ValueError):
         solve_invariant_depth(0.1, 1.0, "critical", c)
+    # a NaN or infinite level or discharge has no root to return
+    for branch in ("subcritical", "supercritical"):
+        for q, target in ((0.15, np.nan), (0.15, np.inf), (0.15, -np.inf),
+                          (np.nan, 0.5), (np.inf, 0.5), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                solve_invariant_depth(q, target, branch, c)
+
+
+def test_exact_oracles_reject_a_nan_bottom(c):
+    """Moving flow meets the finiteness check; the rest branches test
+    the admissible depth positively, so NaN fails there too."""
+    def nan_bottom(x):
+        return np.where(np.asarray(x) > 0.5, np.nan, 0.1)
+
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="finite"):
+        exact_step_state(ExtState(PhysState(0.1, 0.15), 0.1), np.nan, c)
+    with pytest.raises(NoAdmissibleRootError):
+        exact_step_state(ExtState(PhysState(0.5, 0.0), 0.2), np.nan, c)
+    with pytest.raises(ValueError, match="finite"):
+        exact_smooth_profile(nan_bottom, ExtState(PhysState(0.5, 1.2), 0.1), xs, c)
+    with pytest.raises(TranscriticalProfileError):
+        exact_smooth_profile(nan_bottom, ExtState(PhysState(0.5, 0.0), 0.1), xs, c)
 
 
 def test_exact_step_state_frozen_values(c):

@@ -21,6 +21,12 @@ def test_build_preset_validation():
         build_preset(1, alpha=-1.0)
     with pytest.raises(ValueError):
         build_preset(5, x_l=4.5)
+    # each admissible set is a positive condition, so NaN and inf fail it
+    for tid, defaults in PARAM_DEFAULTS.items():
+        for name in defaults:
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="out of range"):
+                    build_preset(tid, **{name: bad})
 
 
 def test_slope_bathymetry():
@@ -104,5 +110,15 @@ def test_exact_profile_smooth_frozen():
 
 
 def test_exact_profile_unknown_test():
+    """exact_profile takes build_preset's parameters, with its checks."""
+    x = np.array([1.0])
     with pytest.raises(ValueError):
-        exact_profile(5, np.array([1.0]))
+        exact_profile(5, x)
+    with pytest.raises(ValueError, match="unknown test"):
+        exact_profile(7, x)
+    with pytest.raises(ValueError, match="takes"):
+        exact_profile(3, x, slope=1.0)
+    with pytest.raises(ValueError, match="takes"):
+        exact_profile(4, x, q_bc=0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        exact_profile(3, x, H_r=5.0)

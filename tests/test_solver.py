@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swelab.core import DryStateError, PhysConstants, SWEError
+from swelab.diagnostics import well_balance_residual
 from swelab.presets import build_preset
 from swelab.solver import (
     SCHEMES,
@@ -94,6 +95,12 @@ def test_boundary_condition_checks_kind_and_values():
             BoundaryCondition(kind)
     with pytest.raises(ValueError, match="needs q"):
         BoundaryCondition("both", h=1.0)
+    for bad in (lambda: BoundaryCondition.both(-0.05, 0.1), lambda: BoundaryCondition.depth(np.nan),
+                lambda: BoundaryCondition.depth(np.inf), lambda: BoundaryCondition.discharge(np.inf),
+                lambda: BoundaryCondition.both(0.1, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            bad()
+    assert BoundaryCondition.depth(0.0).h == 0.0  # a dry outlet is a state
 
 
 def test_stop_rule_validation():
@@ -264,6 +271,56 @@ def test_mirror_symmetry_dry_front(seed):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), scheme
         if scheme in ("force-wb", "gforce-wb"):
             assert report.clip_events > 0, scheme
+
+
+def _max_rest_update(h, H, scheme, steps=20):
+    """Largest per-step |dh| + |dq| over ``steps`` CFL steps from rest,
+    open boundaries."""
+    c = PhysConstants()
+    cfg = SchemeConfig.from_id(scheme)
+    grid = Grid(0.0, 1.0, len(h))
+    bc = BoundaryCondition.open()
+    state = SimState(0.0, h, np.zeros_like(h), H)
+    worst = 0.0
+    for _ in range(steps):
+        after, _ = step(state, cfg, grid, bc, bc, cfl_dt(state, cfg, grid, c), c)
+        worst = max(worst, float(np.max(np.abs(after.h - state.h) + np.abs(after.q - state.q))))
+        state = after
+    return worst
+
+
+def test_c_property_wet_for_all_and_against_dry_banks_for_hr():
+    """Water at rest stays at rest over random step bottoms: for every
+    scheme while all cells are wet, and for the HR family also against
+    dry banks and emerging bottoms. roe, force-wb and gforce-wb do not
+    keep a wet cell at rest next to a dry bank above its surface."""
+    implemented = [s for s, e in SCHEMES.items() if e["implemented"]]
+    hr_family = ("hr", "modified-hr", "force-hr", "gforce-hr")
+    for seed in range(40):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(10, 40))
+        cuts = np.sort(r.choice(np.arange(1, n), size=int(r.integers(1, 6)), replace=False))
+        levels = r.uniform(0.0, 1.0, len(cuts) + 1)
+        levels[r.integers(len(levels))] = 1.0  # one segment 1 deep, so some cell is wet
+        H = levels[np.searchsorted(cuts, np.arange(n), side="right")]
+        if seed % 2:
+            H = H + r.uniform(-0.01, 0.01, n)
+        wet = H - H.min() + r.uniform(0.05, 0.5)
+        banks = np.maximum(H - r.uniform(0.05, 0.9), 0.0)  # surface d below the datum
+        for scheme in implemented:
+            assert _max_rest_update(wet, H, scheme) <= 1e-12, (seed, scheme)
+        for scheme in hr_family:
+            assert _max_rest_update(banks, H, scheme) <= 1e-12, (seed, scheme)
+
+    # ten wet cells 0.2 deep facing ten dry cells whose bottom lies 0.2
+    # above the surface
+    c = PhysConstants()
+    H = np.r_[np.full(10, 0.5), np.full(10, 0.1)]
+    h = np.r_[np.full(10, 0.2), np.zeros(10)]
+    bank = SimState(0.0, h, np.zeros(20), H)
+    for scheme in implemented:
+        res = well_balance_residual(bank, SchemeConfig.from_id(scheme), c)
+        assert (res <= 1e-12) if scheme in hr_family else (res > 1e-2), (scheme, res)
 
 
 # -- run loop -------------------------------------------------------------
