@@ -24,7 +24,8 @@ import numpy as np
 from swelab.core import PhysConstants, SWEError, cell_velocity
 from swelab.diagnostics import convergence_study
 from swelab.kernel import GATE_POLICIES
-from swelab.presets import DEFAULT_CELLS, PARAM_DEFAULTS, build_preset, exact_profile
+from swelab.presets import (DEFAULT_CELLS, PARAM_DEFAULTS, build_preset, check_params,
+                            exact_profile)
 from swelab.solver import SCHEMES, Grid, RunReport, SchemeConfig, StopRule, run
 
 _LADDER = (100, 200, 400, 800, 1600, 3200)
@@ -35,13 +36,14 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _parse_params(items):
+def _parse_params(items, test_id):
     out = {}
     for item in items or []:
         if "=" not in item:
             raise ValueError(f"--param expects k=v, got {item!r}")
         k, v = item.split("=", 1)
         out[k.strip()] = float(v)
+    check_params(test_id, out)
     return out
 
 
@@ -118,7 +120,7 @@ def _summary_dict(report: RunReport, args, params) -> dict:
 
 
 def cmd_run(args) -> int:
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, args.test)
     cfg = _scheme_config(args, args.scheme)
     c = PhysConstants()
     spec = _spec_for(args, params)
@@ -147,7 +149,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep value list")
     # every scheme is checked before the first run; a repeated one runs twice
     cfgs = [_scheme_config(args, s) for s in args.scheme]
-    fixed = _parse_params(args.param)
+    fixed = _parse_params(args.param, args.test)
+    check_params(args.test, [name])
     rows = []
     for v in vals:
         for cfg in cfgs:
@@ -178,29 +181,26 @@ def cmd_sweep(args) -> int:
 def cmd_convergence(args) -> int:
     if args.test != 6:
         raise ValueError("convergence studies are defined for test 6")
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, 6)
     # every scheme is checked before the first run; a repeated one runs twice
     cfgs = [_scheme_config(args, s) for s in args.scheme]
     p = {**PARAM_DEFAULTS[6], **params}
     meshes = _FULL_LADDER if args.full_ladder else _LADDER
+    # every ladder runs before the first file is written
+    needed, lines = {}, ["scheme,dH,dl,n_cells,l1_error,met_bound\n"]
+    for cfg in cfgs:
+        rows, needed[cfg.scheme] = convergence_study(
+            lambda n: build_preset(6, n_cells=n, **params),
+            cfg,
+            lambda x: exact_profile(6, x, **params),
+            bound=args.bound,
+            meshes=meshes,
+        )
+        lines += (f"{cfg.scheme},{_fmt(p['dH'])},{_fmt(p['dl'])},"
+                  f"{r.n_cells},{_fmt(r.l1_error)},{int(r.met_bound)}\n" for r in rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows_path = out / "convergence.csv"
-    needed = {}
-    with rows_path.open("w") as f:
-        f.write("scheme,dH,dl,n_cells,l1_error,met_bound\n")
-        for cfg in cfgs:
-            rows, cells = convergence_study(
-                lambda n: build_preset(6, n_cells=n, **params),
-                cfg,
-                lambda x: exact_profile(6, x, **params),
-                bound=args.bound,
-                meshes=meshes,
-            )
-            needed[cfg.scheme] = cells
-            for r in rows:
-                f.write(f"{cfg.scheme},{_fmt(p['dH'])},{_fmt(p['dl'])},"
-                        f"{r.n_cells},{_fmt(r.l1_error)},{int(r.met_bound)}\n")
+    (out / "convergence.csv").write_text("".join(lines))
     (out / "cells_needed.json").write_text(
         json.dumps({"bound": args.bound,
                     "cells_needed": {k: needed[k] for k in args.scheme}},

@@ -22,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from swelab.core import ExtState, PhysConstants, PhysState, entropy_pair, physical_flux, velocity
-from swelab.hydrostatic import HRInterface, pressure
+from swelab.core import (ExtState, PhysConstants, PhysState, cell_velocity, entropy_pair,
+                         physical_flux, velocity)
+from swelab.kernel import hr_depths, pressure
 from swelab.solver import (
     BoundaryCondition,
     Grid,
@@ -88,15 +89,15 @@ def well_balance_residual(state: SimState, cfg: SchemeConfig, c: PhysConstants) 
     return float(np.max(np.abs(after.h - state.h) + np.abs(after.q - state.q)))
 
 
-def entropy_interface_check(W_l: ExtState, W_r: ExtState, iface: HRInterface,
-                            F, c: PhysConstants, T_minus=0.0, T_plus=0.0,
-                            tol: float = _ENTROPY_TOL) -> EntropyCheck:
-    """Evaluate the sufficient entropy condition at reconstructed interfaces.
+def entropy_interface_check(hl, ql, Hl, hr, qr, Hr, F, c: PhysConstants, T_minus=0.0,
+                            T_plus=0.0, tol: float = _ENTROPY_TOL) -> EntropyCheck:
+    """Evaluate the sufficient entropy condition between the cells (hl, ql, Hl)
+    and (hr, qr, Hr), reconstructed as the scheme does (``kernel.hr_depths``).
 
     ``F`` is the homogeneous flux pair (F^h, F^q) evaluated at the
     reconstructed states; ``T_minus``/``T_plus`` are the large-step
     corrections of the modified reconstruction (leave at zero for the
-    original one). H* is the reconstruction level ``iface.H_star``.
+    original one).
 
     E_l = F^h (g(h_l - h*_l - H_l + H*) + (u*_l)^2/2 - u_l^2/2)
           + (u_l - u*_l)(F^q - p(h*_l)) - u_l T_minus,
@@ -108,15 +109,10 @@ def entropy_interface_check(W_l: ExtState, W_r: ExtState, iface: HRInterface,
     g = c.g
     Fh = np.asarray(F[0], float)
     Fq = np.asarray(F[1], float)
-    hl = np.asarray(W_l.h, float)
-    hr = np.asarray(W_r.h, float)
-    Hl = np.asarray(W_l.H, float)
-    Hr = np.asarray(W_r.H, float)
-    hm = np.asarray(iface.w_minus.h, float)
-    hp = np.asarray(iface.w_plus.h, float)
-    ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
-    um, up = velocity(iface.w_minus, c), velocity(iface.w_plus, c)
-    Hs = np.asarray(iface.H_star, float)
+    hl, ql, Hl, hr, qr, Hr = (np.asarray(a, float) for a in (hl, ql, Hl, hr, qr, Hr))
+    Hs, hm, hp, _ = hr_depths(hl, Hl, hr, Hr)
+    ul, ur = cell_velocity(hl, ql, c.h_dry), cell_velocity(hr, qr, c.h_dry)
+    um, up = cell_velocity(hm, hm * ul, c.h_dry), cell_velocity(hp, hp * ur, c.h_dry)
     E_l = (
         Fh * (g * (hl - hm - Hl + Hs) + 0.5 * um * um - 0.5 * ul * ul)
         + (ul - um) * (Fq - pressure(hm, g))
@@ -129,13 +125,6 @@ def entropy_interface_check(W_l: ExtState, W_r: ExtState, iface: HRInterface,
     )
     return EntropyCheck(E_l=E_l, E_r=E_r, H_star_used=Hs + np.zeros_like(E_l),
                         satisfied=(E_l >= -tol) & (E_r <= tol))
-
-
-def _entropy_gradient_dot(W: ExtState, v, c: PhysConstants):
-    """grad_w eta~ (W) . v with grad = (g(h - H) - u^2/2, u)."""
-    u = velocity(W.state, c)
-    gh = c.g * (np.asarray(W.h, float) - np.asarray(W.H, float))
-    return (gh - 0.5 * u * u) * np.asarray(v[0], float) + u * np.asarray(v[1], float)
 
 
 def entropy_production_total(before: SimState, after: SimState, dt: float, dx: float,
@@ -155,11 +144,13 @@ def entropy_production_total(before: SimState, after: SimState, dt: float, dx: f
     interior = float(np.sum(np.asarray(ea.eta) - np.asarray(eb.eta)) * dx / dt)
 
     def boundary_G(ghost, flux):
+        # G + grad_w eta~ . (flux - F(ghost)), with grad_w eta~ = (g (h - H) - u^2/2, u)
         h, q, H = ghost
         W = ExtState(PhysState(h, q), H)
         Fg = physical_flux(W.state, c)
-        dF = (flux[0] - Fg[0], flux[1] - Fg[1])
-        return float(entropy_pair(W, c).G + _entropy_gradient_dot(W, dF, c))
+        u = velocity(W.state, c)
+        dot = (c.g * (h - H) - 0.5 * u * u) * (flux[0] - Fg[0]) + u * (flux[1] - Fg[1])
+        return float(entropy_pair(W, c).G + dot)
 
     return interior + (boundary_G(info.ghosts[1], info.right_flux)
                        - boundary_G(info.ghosts[0], info.left_flux))
@@ -180,6 +171,8 @@ def convergence_study(spec_family: Callable[[int], SimSpec], cfg: SchemeConfig,
     """
     if max_workers != 1:
         raise ValueError(f"max_workers must be 1 (runs are serial), got {max_workers!r}")
+    if not 0.0 < bound < np.inf:  # NaN or a bound no error can meet would run every mesh
+        raise ValueError(f"the error bound must be finite and > 0, got {bound}")
     rows = []
     for n in meshes:
         spec = spec_family(n)

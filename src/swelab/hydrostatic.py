@@ -90,8 +90,7 @@ def hr_interface_terms(W_l: ExtState, W_r: ExtState, cfg, c: PhysConstants,
     """The interface terms of the HR scheme that the ``solver.SchemeConfig``
     ``cfg`` picks (``kernel.hydrostatic``); an omega flux needs ``dx`` and ``dt``.
 
-    Returns (flux pair, SourceSplit, HRInterface); interfaces dry on both
-    sides carry zeros.
+    Returns (flux pair, SourceSplit); interfaces dry on both sides carry zeros.
     """
     if cfg.source not in ("hr", "modified-hr"):
         raise ValueError(f"source {cfg.source!r} is not a hydrostatic reconstruction")
@@ -104,5 +103,4 @@ def hr_interface_terms(W_l: ExtState, W_r: ExtState, cfg, c: PhysConstants,
         hl, ql, ul, Hl, hr, qr, ur, Hr, c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate,
         kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt))
     zero = np.zeros_like(hl + hr)
-    split = SourceSplit(minus=(zero, minus), plus=(zero, plus))
-    return F, split, hr_reconstruct(W_l, W_r, c)
+    return F, SourceSplit(minus=(zero, minus), plus=(zero, plus))

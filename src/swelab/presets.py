@@ -23,7 +23,7 @@ import numpy as np
 from swelab.core import ExtState, PhysConstants, PhysState, exact_smooth_profile, exact_step_state
 from swelab.solver import BoundaryCondition, Grid, SimSpec, StopRule
 
-__all__ = ["build_preset", "exact_profile", "DEFAULT_CELLS", "PARAM_DEFAULTS"]
+__all__ = ["build_preset", "exact_profile", "check_params", "DEFAULT_CELLS", "PARAM_DEFAULTS"]
 
 # Per test id: the domain, the default cell count, and for each free
 # parameter its default and a test of the values it admits.
@@ -86,14 +86,20 @@ def _ic_waterline(x, H, q0):
     return h, np.where(h > 0.0, q0, 0.0)
 
 
-def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
-    """SimSpec for one benchmark; free parameters as keyword overrides."""
+def check_params(test_id: int, names) -> None:
+    """Reject an unknown test id and any of ``names`` the test has no free parameter for."""
     if test_id not in _TESTS:
         raise ValueError(f"unknown test id {test_id!r}")
-    (a, b), cells, free = _TESTS[test_id]
-    unknown = set(params) - set(free)
+    free = _TESTS[test_id][2]
+    unknown = set(names) - set(free)
     if unknown:
         raise ValueError(f"test {test_id} takes {sorted(free)}, got {sorted(unknown)}")
+
+
+def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
+    """SimSpec for one benchmark; free parameters as keyword overrides."""
+    check_params(test_id, params)
+    (a, b), cells, free = _TESTS[test_id]
     p = {}
     for name, (default, admits) in free.items():
         p[name] = v = float(params.get(name, default))
@@ -156,20 +162,19 @@ def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
     )
 
 
-def exact_profile(test_id: int, x, c: PhysConstants | None = None, **params):
+def exact_profile(test_id: int, x, c: PhysConstants = PhysConstants(), **params):
     """Exact stationary depth at positions x, where one is known.
 
-    Takes the parameters of ``build_preset``, with the same checks, and
-    reads the inlet state and the bottom from the spec it builds.
+    Takes the free parameters of ``build_preset`` (not ``n_cells``), with
+    the same checks, and reads the inlet state and the bottom from the spec.
     Test 3/4: the stationary contact linking the inlet state to the far
     side of the step. Test 6: the smooth stationary profile sharing the
     inlet Riemann invariants.
     """
+    check_params(test_id, params)
     spec = build_preset(test_id, **params)
     if test_id not in (3, 4, 6):
         raise ValueError(f"no exact profile for test {test_id}")
-    if c is None:
-        c = PhysConstants()
     x = np.asarray(x, float)
     inlet_H = float(spec.bathymetry(spec.grid.x_left))
     inlet = ExtState(PhysState(spec.bc_left.h, spec.bc_left.q), inlet_H)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from swelab import kernel
-from swelab.core import DryStateError, ExtState, PhysConstants, PhysState, SWEError
+from swelab.core import DryStateError, PhysConstants, SWEError
 from swelab.sources import resolved_split_form
 
 # Object-level functions the step no longer calls, bound for bench/tracer.py.
@@ -218,10 +218,6 @@ class SimState:
         return SimState(self.t, self.h.copy(), self.q.copy(), self.H.copy())
 
 
-def _ext(h, q, H) -> ExtState:
-    return ExtState(PhysState(h, q), H)
-
-
 @dataclass
 class StepInfo:
     """Per-step bookkeeping returned by ``step``."""
@@ -285,26 +281,24 @@ def cfl_dt(state: SimState, cfg: SchemeConfig, grid: Grid, c: PhysConstants) -> 
     return cfg.cfl * grid.dx / smax
 
 
-def _ghost(state: SimState, bc: BoundaryCondition, i_near: int, i_far: int):
-    """(h, q, H) of one ghost cell; ghost H copies the interior value."""
-    if bc.kind == "periodic":
-        return state.h[i_far], state.q[i_far], state.H[i_far]
-    given = _BC_VALUES[bc.kind]
-    h = bc.h if "h" in given else state.h[i_near]
-    q = bc.q if "q" in given else state.q[i_near]
-    return h, q, state.H[i_near]
-
-
 def apply_boundaries(state: SimState, bc_left: BoundaryCondition,
                      bc_right: BoundaryCondition):
-    """Ghost states for both sides; ghost H copies the interior value."""
-    return _ext(*_ghost(state, bc_left, 0, -1)), _ext(*_ghost(state, bc_right, -1, 0))
-
-
-def _padded(a: np.ndarray, left, right) -> np.ndarray:
-    out = np.empty(len(a) + 2)
-    out[0], out[1:-1], out[-1] = left, a, right
-    return out
+    """The rows (h, q, H) with one ghost cell on each side, and each ghost's
+    (h, q, H), left then right. A ghost takes its boundary's given values and
+    the rest, H included, from the near end cell (the far one if periodic)."""
+    ghosts = []
+    for bc, near, far in ((bc_left, 0, -1), (bc_right, -1, 0)):
+        i = far if bc.kind == "periodic" else near
+        given = _BC_VALUES[bc.kind]
+        ghosts.append((bc.h if "h" in given else state.h[i],
+                       bc.q if "q" in given else state.q[i], state.H[i]))
+    (hl, ql, Hl), (hr, qr, Hr) = ghosts
+    n = len(state.h) + 2
+    hp, qp, Hp = np.empty(n), np.empty(n), np.empty(n)
+    hp[0], hp[1:-1], hp[-1] = hl, state.h, hr
+    qp[0], qp[1:-1], qp[-1] = ql, state.q, qr
+    Hp[0], Hp[1:-1], Hp[-1] = Hl, state.H, Hr
+    return (hp, qp, Hp), ghosts
 
 
 def interface_terms(hp: np.ndarray, qp: np.ndarray, Hp: np.ndarray, cfg: SchemeConfig,
@@ -327,10 +321,7 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
     below h_dry, a clip event beyond); cells at or below h_dry carry no
     momentum. Raises on non-finite values, naming the first bad cell.
     """
-    gl, gr = _ghost(state, bc_left, 0, -1), _ghost(state, bc_right, -1, 0)
-    hp = _padded(state.h, gl[0], gr[0])
-    qp = _padded(state.q, gl[1], gr[1])
-    Hp = _padded(state.H, gl[2], gr[2])
+    (hp, qp, Hp), ghosts = apply_boundaries(state, bc_left, bc_right)
     dx = grid.dx
     (F0, F1), (Sm0, Sm1), (Sp0, Sp1) = interface_terms(hp, qp, Hp, cfg, dx, dt, c)
     r = dt / dx
@@ -358,7 +349,7 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
         clip_events=clips,
         minor_clip_events=minor,
         min_h_pre_clip=min_h,
-        ghosts=(gl, gr),
+        ghosts=tuple(ghosts),
         left_flux=(F0[0] - sm0, F1[0] - Sm1[0]),
         right_flux=(F0[-1] + sp0, F1[-1] + Sp1[-1]),
     )

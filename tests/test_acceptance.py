@@ -39,6 +39,7 @@ from swelab.solver import (
     SimSpec,
     SimState,
     StopRule,
+    apply_boundaries,
     cfl_dt,
     initial_state,
     run,
@@ -432,14 +433,13 @@ def test_criterion_09_entropy():
     for k in range(301):
         dt = cfl_dt(state, cfg, grid, C)
         if k % 20 == 0 or k == 300:
-            hp = np.concatenate(([state.h[0]], state.h, [spec.bc_right.h]))
-            qp = np.concatenate(([spec.bc_left.q], state.q, [state.q[-1]]))
-            Hp = np.concatenate(([state.H[0]], state.H, [state.H[-1]]))
+            (hp, qp, Hp), _ = apply_boundaries(state, spec.bc_left, spec.bc_right)
             Wl = ExtState(PhysState(hp[:-1], qp[:-1]), Hp[:-1])
             Wr = ExtState(PhysState(hp[1:], qp[1:]), Hp[1:])
             iface = hr_reconstruct(Wl, Wr, C)
             F = omega_flux(iface.w_minus, iface.w_plus, 0.0, grid.dx, dt, C)
-            chk = entropy_interface_check(Wl, Wr, iface, F, C, tol=1e-10)
+            chk = entropy_interface_check(hp[:-1], qp[:-1], Hp[:-1], hp[1:], qp[1:], Hp[1:],
+                                          F, C, tol=1e-10)
             sat = np.asarray(chk.satisfied) | np.asarray(iface.large_step)
             violations += int(np.count_nonzero(~sat))
             checked += sat.size
@@ -461,7 +461,7 @@ def test_criterion_09_entropy():
             continue
         # both reconstructed columns are empty here, so the flux is zero
         # and the condition reduces to the sign of u T
-        chk = entropy_interface_check(Wl, Wr, iface, (0.0, 0.0), C,
+        chk = entropy_interface_check(h, h * u, Hl, 0.0, 0.0, Hr, (0.0, 0.0), C,
                                       T_minus=corr.T_minus, T_plus=corr.T_plus)
         gate_cases += 1
         gate_violations += int(not chk.satisfied)

@@ -296,3 +296,44 @@ def test_snapshot_round_trips_at_full_precision(tmp_path):
     data = np.genfromtxt(tmp_path / "snapshot_final.csv", delimiter=",", names=True)
     # 17 significant digits survive the text round trip losslessly
     assert np.all(data["eta"] == data["h"] - data["H"])
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("run", ["--test", "3", "--cells", "20", "--until", "time=0.02"]),
+    ("sweep", ["--test", "3", "--cells", "20", "--until", "time=0.02",
+               "--sweep", "H_r=0.2,0.3"]),
+    ("convergence", ["--test", "6"]),
+])
+@pytest.mark.parametrize("name", ["n_cells", "test_id", "oops"])
+def test_a_name_that_is_not_a_test_parameter_exits_2(tmp_path, monkeypatch, capsys,
+                                                     command, extra, name):
+    """--param (and --sweep) names must be free parameters of the test; any
+    other, the cell count and the test id included, is a usage error
+    before any run and any file."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("run called with a bad parameter name")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(diagnostics, "run", no_run)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--scheme", "hr", *extra, "--param", f"{name}=5", "--out", str(out)])
+    assert rc == 2
+    assert "takes" in capsys.readouterr().err
+    assert not out.exists()
+    if command == "sweep":
+        rc = cli.main([command, "--scheme", "hr", *extra[:-1], f"{name}=5,6", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "-1", "0"])
+def test_convergence_bound_no_error_can_meet_exits_2(tmp_path, monkeypatch, capsys, bound):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run called with an invalid bound")
+
+    monkeypatch.setattr(diagnostics, "run", no_run)
+    rc = cli.main(["convergence", "--test", "6", "--scheme", "roe", "--bound", bound,
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "bound" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -54,7 +54,7 @@ def test_entropy_interface_check_rest_is_tight():
     iface = hr_reconstruct(Wl, Wr, c)
     # reconstructed rest pair: the flux is purely pressure
     F = (0.0, 0.5 * c.g * iface.w_minus.h**2)
-    chk = entropy_interface_check(Wl, Wr, iface, F, c)
+    chk = entropy_interface_check(Wl.h, Wl.q, Wl.H, Wr.h, Wr.q, Wr.H, F, c)
     assert chk.satisfied
     assert chk.E_l == pytest.approx(0.0, abs=1e-13)
     assert chk.E_r == pytest.approx(0.0, abs=1e-13)
@@ -79,7 +79,7 @@ def test_entropy_interface_check_random_lf_interfaces():
         dx = 0.1
         dt = 0.9 * dx / smax
         F = omega_flux(iface.w_minus, iface.w_plus, 0.0, dx, dt, c)
-        chk = entropy_interface_check(Wl, Wr, iface, F, c, tol=1e-11)
+        chk = entropy_interface_check(hl, hl * ul, Hl, hr, hr * ur, Hr, F, c, tol=1e-11)
         assert chk.satisfied, (Wl, Wr, chk.E_l, chk.E_r)
         checked += 1
     assert checked > 200
@@ -92,7 +92,7 @@ def test_entropy_interface_check_accepts_corrections():
     iface = hr_reconstruct(Wl, Wr, c)
     corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
     F = omega_flux(iface.w_minus, iface.w_plus, 0.0, 0.1, 0.01, c)
-    chk = entropy_interface_check(Wl, Wr, iface, F, c,
+    chk = entropy_interface_check(Wl.h, Wl.q, Wl.H, Wr.h, Wr.q, Wr.H, F, c,
                                   T_minus=corr.T_minus, T_plus=corr.T_plus)
     assert np.isfinite(chk.E_l) and np.isfinite(chk.E_r)
     assert chk.H_star_used == iface.H_star
@@ -174,3 +174,14 @@ def test_convergence_study_accepts_only_one_worker(monkeypatch):
         convergence_study(lambda n: build_preset(6, n_cells=n), SchemeConfig.from_id("roe"),
                           lambda x: exact_profile(6, x), bound=0.05, meshes=(20,),
                           max_workers=2)
+
+
+@pytest.mark.parametrize("bound", [np.nan, np.inf, -1.0, 0.0])
+def test_convergence_study_rejects_a_bound_no_error_can_meet(monkeypatch, bound):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run called with an invalid bound")
+
+    monkeypatch.setattr(diagnostics, "run", no_run)
+    with pytest.raises(ValueError, match="bound"):
+        convergence_study(lambda n: build_preset(6, n_cells=n), SchemeConfig.from_id("roe"),
+                          lambda x: exact_profile(6, x), bound=bound, meshes=(20,))

@@ -90,8 +90,8 @@ def test_variants_identical_outside_large_steps(c):
     """Bit-identical flux and split when no column truncates."""
     Wl = ExtState(PhysState(0.7, 0.1), 0.5)
     Wr = ExtState(PhysState(0.4, 0.2), 0.2)
-    Fo, so, _ = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("hr"), c)
-    Fm, sm, _ = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("modified-hr"), c)
+    Fo, so = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("hr"), c)
+    Fm, sm = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("modified-hr"), c)
     assert Fo == Fm
     assert so.minus == sm.minus and so.plus == sm.plus
 
@@ -167,7 +167,7 @@ def test_gate_policies_can_disagree(c):
 def test_dry_dry_interface_zero_terms(c):
     Wl = ExtState(PhysState(0.0, 0.0), 0.2)
     Wr = ExtState(PhysState(0.0, 0.0), 0.8)
-    F, split, _ = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("modified-hr"), c)
+    F, split = hr_interface_terms(Wl, Wr, SchemeConfig.from_id("modified-hr"), c)
     assert F == (0.0, 0.0)
     assert split.minus[1] == 0.0 and split.plus[1] == 0.0
 
@@ -183,8 +183,6 @@ def test_hr_interface_terms_validation(c):
 def test_hr_interface_terms_omega_flux(c):
     W1 = ExtState(PhysState(0.5, 0.1), 0.2)
     W2 = ExtState(PhysState(0.45, 0.12), 0.3)
-    F, split, iface = hr_interface_terms(
-        W1, W2, SchemeConfig.from_id("force-hr"), c, dx=0.1, dt=0.01
-    )
+    F, split = hr_interface_terms(W1, W2, SchemeConfig.from_id("force-hr"), c, dx=0.1, dt=0.01)
     assert np.all(np.isfinite(F))
-    assert not iface.large_step
+    assert not hr_reconstruct(W1, W2, c).large_step

@@ -122,3 +122,5 @@ def test_exact_profile_unknown_test():
         exact_profile(4, x, q_bc=0.5)
     with pytest.raises(ValueError, match="out of range"):
         exact_profile(3, x, H_r=5.0)
+    with pytest.raises(ValueError, match="takes"):  # the cell count is not a test parameter
+        exact_profile(6, x, n_cells=7)

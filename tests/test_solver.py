@@ -121,17 +121,23 @@ def test_stop_rule_validation():
 def test_apply_boundaries_kinds():
     state = SimState(0.0, np.array([0.4, 0.5, 0.6]), np.array([0.1, 0.2, 0.3]),
                      np.array([0.0, 0.1, 0.2]))
-    gl, gr = apply_boundaries(state, BoundaryCondition.open(), BoundaryCondition.open())
-    assert (gl.h, gl.q, gl.H) == (0.4, 0.1, 0.0)
-    assert (gr.h, gr.q, gr.H) == (0.6, 0.3, 0.2)
-    gl, gr = apply_boundaries(state, BoundaryCondition.both(1.0, -1.0),
-                              BoundaryCondition.depth(0.9))
-    assert (gl.h, gl.q) == (1.0, -1.0)
-    assert (gr.h, gr.q) == (0.9, 0.3)
-    gl, gr = apply_boundaries(state, BoundaryCondition.discharge(0.7),
-                              BoundaryCondition.periodic())
-    assert (gl.h, gl.q) == (0.4, 0.7)
-    assert (gr.h, gr.q, gr.H) == (0.4, 0.1, 0.0)  # wraps to the left end
+    cases = [
+        (BoundaryCondition.open(), BoundaryCondition.open(),
+         (0.4, 0.1, 0.0), (0.6, 0.3, 0.2)),
+        (BoundaryCondition.both(1.0, -1.0), BoundaryCondition.depth(0.9),
+         (1.0, -1.0, 0.0), (0.9, 0.3, 0.2)),
+        (BoundaryCondition.discharge(0.7), BoundaryCondition.periodic(),
+         (0.4, 0.7, 0.0), (0.4, 0.1, 0.0)),  # the periodic ghost wraps to the left end
+        (BoundaryCondition.periodic(), BoundaryCondition.periodic(),
+         (0.6, 0.3, 0.2), (0.4, 0.1, 0.0)),
+    ]
+    for bc_left, bc_right, want_l, want_r in cases:
+        rows, (gl, gr) = apply_boundaries(state, bc_left, bc_right)
+        assert (tuple(gl), tuple(gr)) == (want_l, want_r), (bc_left, bc_right)
+        for k, (row, interior) in enumerate(zip(rows, (state.h, state.q, state.H))):
+            assert row.shape == (5,)
+            assert row[1:-1].tolist() == interior.tolist()
+            assert (row[0], row[-1]) == (gl[k], gr[k])
 
 
 def test_cfl_dt_value_and_dry_guard():
