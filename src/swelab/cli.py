@@ -24,8 +24,8 @@ import numpy as np
 from swelab.core import PhysConstants, SWEError, cell_velocity
 from swelab.diagnostics import convergence_study
 from swelab.kernel import GATE_POLICIES
-from swelab.presets import (DEFAULT_CELLS, PARAM_DEFAULTS, build_preset, check_params,
-                            exact_profile)
+from swelab.presets import (DEFAULT_CELLS, PARAM_DEFAULTS, STEADY_TOL, build_preset,
+                            check_params, exact_profile)
 from swelab.solver import SCHEMES, Grid, RunReport, SchemeConfig, StopRule, run
 
 _LADDER = (100, 200, 400, 800, 1600, 3200)
@@ -90,9 +90,7 @@ def _scheme_config(args, scheme_id) -> SchemeConfig:
 def _spec_for(args, params):
     spec = build_preset(args.test, n_cells=args.cells, **params)
     if args.until == "steady":
-        base = spec.stop
-        spec.stop = StopRule(steady_tol=base.steady_tol or 1e-8,
-                             max_time=base.time_bound() or 1e4)
+        spec.stop = StopRule(steady_tol=STEADY_TOL, max_time=spec.stop.time_bound())
     elif args.until is not None:
         spec.stop = args.until
     return spec

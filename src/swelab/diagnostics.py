@@ -83,7 +83,7 @@ def well_balance_residual(state: SimState, cfg: SchemeConfig, c: PhysConstants) 
     exactly on the scheme's discrete steady states.
     """
     grid = Grid(0.0, float(len(state.h)), len(state.h))
-    bc = BoundaryCondition.open()
+    bc = BoundaryCondition()
     dt = cfl_dt(state, cfg, grid, c)
     after, _ = step(state, cfg, grid, bc, bc, dt, c)
     return float(np.max(np.abs(after.h - state.h) + np.abs(after.q - state.q)))

@@ -72,15 +72,15 @@ def hr_reconstruct(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> HRInterfac
     return HRInterface(H_star, PhysState(hm, hm * ul), PhysState(hp, hp * ur), large)
 
 
-def modified_hr_corrections(W_l: ExtState, W_r: ExtState, iface: HRInterface,
-                            gate: str, c: PhysConstants) -> HRCorrections:
-    """Large-step corrections T+- (``kernel.large_step_corrections``), zero
-    outside large steps; the gate keeps rest against a dry bank."""
+def modified_hr_corrections(W_l: ExtState, W_r: ExtState, gate: str,
+                            c: PhysConstants) -> HRCorrections:
+    """Large-step corrections T+- (``kernel.large_step_corrections``) on the
+    reconstruction of the two states (``kernel.hr_depths``), zero outside
+    large steps; the gate keeps rest against a dry bank."""
     hl, Hl, hr, Hr = _arrays(W_l, W_r)
-    hm, hp = np.asarray(iface.w_minus.h, float), np.asarray(iface.w_plus.h, float)
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
-    recon = (np.asarray(iface.H_star, float), hm, hp, np.asarray(iface.large_step))
-    split = kernel.hr_source(hl, hr, hm, hp, c.g)
+    recon = kernel.hr_depths(hl, Hl, hr, Hr)
+    split = kernel.hr_source(hl, hr, recon[1], recon[2], c.g)
     return HRCorrections(*kernel.large_step_corrections(
         hl, ul, Hl, hr, ur, Hr, recon, split, c.g, c.h_dry, gate))
 

@@ -10,8 +10,8 @@
 6. supercritical flow down a ramp of height dH over length dl, with a
    smooth stationary exact solution used for convergence studies
 
-All bathymetries are module-level functions bound with ``partial`` so
-specs stay picklable. Bottom depth H is positive downward throughout.
+All bathymetries are module-level functions with their parameters bound
+by ``partial``. Bottom depth H is positive downward throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from swelab.core import ExtState, PhysConstants, PhysState, exact_smooth_profile, exact_step_state
 from swelab.solver import BoundaryCondition, Grid, SimSpec, StopRule
 
-__all__ = ["build_preset", "exact_profile", "check_params", "DEFAULT_CELLS", "PARAM_DEFAULTS"]
+__all__ = ["build_preset", "exact_profile", "check_params", "DEFAULT_CELLS", "PARAM_DEFAULTS",
+           "STEADY_TOL"]
 
 # Per test id: the domain, the default cell count, and for each free
 # parameter its default and a test of the values it admits.
@@ -41,7 +42,7 @@ DEFAULT_CELLS = {t: cells for t, (_, cells, _) in _TESTS.items()}
 PARAM_DEFAULTS = {t: {k: d for k, (d, _) in free.items()} for t, (_, _, free) in _TESTS.items()}
 
 _X_STEP = 0.5  # where the bottom of tests 3 and 4 steps
-_STEADY_TOL = 1e-8
+STEADY_TOL = 1e-8  # relative residual at which every steady run stops
 
 
 def _bathy_slope(x, alpha):
@@ -112,9 +113,9 @@ def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
             grid=grid,
             bathymetry=partial(_bathy_slope, alpha=p["alpha"]),
             init=partial(_ic_const, h0=0.02, q0=0.01),
-            bc_left=BoundaryCondition.both(0.02, 0.01),
-            bc_right=BoundaryCondition.open(),
-            stop=StopRule(steady_tol=_STEADY_TOL, max_time=200.0),
+            bc_left=BoundaryCondition(h=0.02, q=0.01),
+            bc_right=BoundaryCondition(),
+            stop=StopRule(steady_tol=STEADY_TOL, max_time=200.0),
         )
 
     if test_id == 2:
@@ -122,9 +123,9 @@ def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
             grid=grid,
             bathymetry=_bathy_bump,
             init=partial(_ic_const, h0=0.33, q0=0.18),
-            bc_left=BoundaryCondition.discharge(0.18),
-            bc_right=BoundaryCondition.depth(0.33),
-            stop=StopRule(steady_tol=_STEADY_TOL, max_time=600.0),
+            bc_left=BoundaryCondition(q=0.18),
+            bc_right=BoundaryCondition(h=0.33),
+            stop=StopRule(steady_tol=STEADY_TOL, max_time=600.0),
         )
 
     if test_id in (3, 4):
@@ -134,9 +135,9 @@ def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
             grid=grid,
             bathymetry=partial(_bathy_step, H_l=inlet_H, H_r=p["H_r"]),
             init=partial(_ic_const, h0=0.1, q0=0.15),
-            bc_left=BoundaryCondition.both(0.1, inlet_q),
-            bc_right=BoundaryCondition.open(),
-            stop=StopRule(steady_tol=_STEADY_TOL, max_time=100.0),
+            bc_left=BoundaryCondition(h=0.1, q=inlet_q),
+            bc_right=BoundaryCondition(),
+            stop=StopRule(steady_tol=STEADY_TOL, max_time=100.0),
             probes=(("h_l", _X_STEP - 5 * grid.dx), ("h_r", _X_STEP + 5 * grid.dx)),
         )
 
@@ -145,8 +146,8 @@ def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
             grid=grid,
             bathymetry=partial(_bathy_ramp_up, x_l=p["x_l"]),
             init=partial(_ic_waterline, q0=0.9),
-            bc_left=BoundaryCondition.both(0.1, 0.9),
-            bc_right=BoundaryCondition.open(),
+            bc_left=BoundaryCondition(h=0.1, q=0.9),
+            bc_right=BoundaryCondition(),
             stop=StopRule(final_time=2.5),
             probes=(("h_l", p["x_l"] - 5 * grid.dx), ("h_r", 4.0 + 5 * grid.dx)),
         )
@@ -156,9 +157,9 @@ def build_preset(test_id: int, n_cells: int | None = None, **params) -> SimSpec:
         grid=grid,
         bathymetry=partial(_bathy_ramp_down, dH=p["dH"], dl=p["dl"]),
         init=partial(_ic_const, h0=0.5, q0=1.2),
-        bc_left=BoundaryCondition.both(0.5, 1.2),
-        bc_right=BoundaryCondition.open(),
-        stop=StopRule(steady_tol=_STEADY_TOL, max_time=60.0),
+        bc_left=BoundaryCondition(h=0.5, q=1.2),
+        bc_right=BoundaryCondition(),
+        stop=StopRule(steady_tol=STEADY_TOL, max_time=60.0),
     )
 
 

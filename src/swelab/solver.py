@@ -122,56 +122,39 @@ class SchemeConfig:
         return cls(scheme=scheme_id, flux=entry["flux"], source=entry["source"], **kw)
 
 
-# The boundary values each ghost-cell rule imposes.
-_BC_VALUES = {"open": (), "discharge": ("q",), "depth": ("h",), "both": ("h", "q"),
-              "periodic": ()}
-
-
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Ghost-cell rule for one side of the domain."""
+    """Ghost-cell rule for one side of the domain: the depth ``h`` and the
+    discharge ``q`` it imposes (``None`` copies the near end cell), or
+    ``periodic``, which copies the far end cell."""
 
-    kind: str  # 'open' | 'discharge' | 'depth' | 'both' | 'periodic'
     h: float | None = None
     q: float | None = None
+    periodic: bool = False
 
     def __post_init__(self):
-        if self.kind not in _BC_VALUES:
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        missing = [k for k in _BC_VALUES[self.kind] if getattr(self, k) is None]
-        if missing:
-            raise ValueError(f"a {self.kind!r} boundary needs {' and '.join(missing)}")
+        if self.periodic and (self.h is not None or self.q is not None):
+            raise ValueError("a periodic boundary imposes no depth or discharge")
         if self.h is not None and not 0.0 <= self.h < math.inf:
             raise ValueError(f"a boundary depth must be finite and >= 0, got {self.h}")
         if self.q is not None and not math.isfinite(self.q):
             raise ValueError(f"a boundary discharge must be finite, got {self.q}")
 
-    @classmethod
-    def open(cls):
-        return cls("open")
-
-    @classmethod
-    def discharge(cls, q):
-        return cls("discharge", q=q)
-
-    @classmethod
-    def depth(cls, h):
-        return cls("depth", h=h)
-
-    @classmethod
-    def both(cls, h, q):
-        return cls("both", h=h, q=q)
-
-    @classmethod
-    def periodic(cls):
-        return cls("periodic")
+    @property
+    def kind(self) -> str:
+        """'open' | 'discharge' | 'depth' | 'both' | 'periodic'"""
+        if self.periodic:
+            return "periodic"
+        if self.h is None:
+            return "open" if self.q is None else "discharge"
+        return "depth" if self.q is None else "both"
 
 
 @dataclass(frozen=True)
 class StopRule:
     """When a run is over: a fixed final time, a steady-state residual
     tolerance (relative to the first step's residual), or both
-    (whichever hits first). ``max_steps`` is a hard guard."""
+    (whichever hits first). ``max_steps``, an integer >= 0, is a hard guard."""
 
     final_time: float | None = None
     steady_tol: float | None = None
@@ -186,6 +169,9 @@ class StopRule:
         for v in (self.final_time, self.steady_tol, self.max_time):
             if v is not None and not 0.0 <= v < np.inf:  # NaN or inf would never stop a run
                 raise ValueError(f"stop times and tolerances must be finite and >= 0, got {v}")
+        n = self.max_steps
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"max_steps must be an integer >= 0, got {n!r}")
 
     def time_bound(self) -> float | None:
         ts = [t for t in (self.final_time, self.max_time) if t is not None]
@@ -240,13 +226,16 @@ class RunReport:
     snapshots: list  # [(t, h, q)] of the final state only; kept for the benchmark
     final_residual: float | None  # last step's residual; None when no step was taken
     probes: dict
-    steady_reached: bool
     final_time: float
     n_steps: int
     clip_events: int
     minor_clip_events: int
+    stop_reason: str  # 'steady' | 'final_time' | 'max_time' | 'max_steps'
     entropy_production: np.ndarray | None = None
-    stop_reason: str = ""  # 'steady' | 'final_time' | 'max_time' | 'max_steps'
+
+    @property
+    def steady_reached(self) -> bool:
+        return self.stop_reason == "steady"
 
     @property
     def final(self) -> SimState:
@@ -256,7 +245,7 @@ class RunReport:
     def summary(self) -> dict:
         d = dict(self.metadata)
         d.update(
-            steady_reached=bool(self.steady_reached),
+            steady_reached=self.steady_reached,
             final_time=float(self.final_time),
             n_steps=int(self.n_steps),
             clip_events=int(self.clip_events),
@@ -288,10 +277,9 @@ def apply_boundaries(state: SimState, bc_left: BoundaryCondition,
     the rest, H included, from the near end cell (the far one if periodic)."""
     ghosts = []
     for bc, near, far in ((bc_left, 0, -1), (bc_right, -1, 0)):
-        i = far if bc.kind == "periodic" else near
-        given = _BC_VALUES[bc.kind]
-        ghosts.append((bc.h if "h" in given else state.h[i],
-                       bc.q if "q" in given else state.q[i], state.H[i]))
+        i = far if bc.periodic else near
+        ghosts.append((state.h[i] if bc.h is None else bc.h,
+                       state.q[i] if bc.q is None else bc.q, state.H[i]))
     (hl, ql, Hl), (hr, qr, Hr) = ghosts
     n = len(state.h) + 2
     hp, qp, Hp = np.empty(n), np.empty(n), np.empty(n)
@@ -375,9 +363,10 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
 
     The last step is clamped to land exactly on the stop rule's time
     bound. The residual |w^{n+1} - w^n|_1 / dt is taken each step; with
-    a steady tolerance set, the run stops once it falls below
-    tol * (first residual + 1e-30). The report keeps the last residual,
-    and its ``stop_reason`` says which rule ended the run.
+    a steady tolerance set, the run is steady once it falls below
+    tol * (first residual + 1e-30). The report keeps the last residual;
+    its ``stop_reason`` is the first rule that holds before a step, in
+    the order steady, time bound, ``max_steps``.
     """
     state = initial_state(spec, c)
     grid = spec.grid
@@ -386,18 +375,18 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
     bound = stop.time_bound()
     entropy = [] if track_entropy else None
     clips = minor = 0
-    steady = False
     residual0 = res = None
     n_steps = 0
     if track_entropy:
         from swelab.diagnostics import entropy_production_total
 
     while True:
+        if (stop.steady_tol is not None and res is not None
+                and res <= stop.steady_tol * (residual0 + 1e-30)):
+            stop_reason = "steady"
+            break
         if bound is not None and state.t >= bound - 1e-12:
             stop_reason = "final_time" if bound == stop.final_time else "max_time"
-            break
-        if steady:
-            stop_reason = "steady"
             break
         if n_steps >= stop.max_steps:
             stop_reason = "max_steps"
@@ -416,8 +405,6 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
             residual0 = res
         if track_entropy:
             entropy.append(entropy_production_total(before, state, dt, dx, c, info))
-        if stop.steady_tol is not None and res <= stop.steady_tol * (residual0 + 1e-30):
-            steady = True
 
     probes = {}
     for name, xp in spec.probes:
@@ -432,11 +419,10 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         snapshots=[(state.t, state.h, state.q)],
         final_residual=res,
         probes=probes,
-        steady_reached=steady,
         final_time=state.t,
         n_steps=n_steps,
         clip_events=clips,
         minor_clip_events=minor,
-        entropy_production=np.asarray(entropy) if entropy is not None else None,
         stop_reason=stop_reason,
+        entropy_production=np.asarray(entropy) if entropy is not None else None,
     )

@@ -127,7 +127,7 @@ def test_criterion_01_c_property():
         "rough": (Grid(0.0, 1.0, 100),
                   SimState(0.0, 1.0 + H_rough, np.zeros(100), H_rough)),
     }
-    bc = BoundaryCondition.open()
+    bc = BoundaryCondition()
     for scheme in IMPLEMENTED:
         cfg = SchemeConfig.from_id(scheme)
         for label, (grid, state) in cases.items():
@@ -225,8 +225,8 @@ def test_criterion_04_positivity_dry_dam_break():
         min_h = np.inf
         while state.t < 0.5:
             dt = min(cfl_dt(state, cfg, grid, C), 0.5 - state.t)
-            state, info = step(state, cfg, grid, BoundaryCondition.open(),
-                               BoundaryCondition.open(), dt, C)
+            state, info = step(state, cfg, grid, BoundaryCondition(),
+                               BoundaryCondition(), dt, C)
             clips += info.clip_events
             min_h = min(min_h, info.min_h_pre_clip)
         min_seen = min(min_seen, min_h)
@@ -455,8 +455,7 @@ def test_criterion_09_entropy():
         Hr = -(h - Hl) - r.uniform(0.01, 0.3)
         Wl = ExtState(PhysState(h, h * u), Hl)
         Wr = ExtState(PhysState(0.0, 0.0), Hr)
-        iface = hr_reconstruct(Wl, Wr, C)
-        corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", C)
+        corr = modified_hr_corrections(Wl, Wr, "dimensional", C)
         if not np.any(corr.gate_applied):
             continue
         # both reconstructed columns are empty here, so the flux is zero

@@ -90,7 +90,7 @@ def test_entropy_interface_check_accepts_corrections():
     Wl = ExtState(PhysState(0.1, 0.02), 0.9)
     Wr = ExtState(PhysState(0.3, 0.05), 0.2)
     iface = hr_reconstruct(Wl, Wr, c)
-    corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
+    corr = modified_hr_corrections(Wl, Wr, "dimensional", c)
     F = omega_flux(iface.w_minus, iface.w_plus, 0.0, 0.1, 0.01, c)
     chk = entropy_interface_check(Wl.h, Wl.q, Wl.H, Wr.h, Wr.q, Wr.H, F, c,
                                   T_minus=corr.T_minus, T_plus=corr.T_plus)
@@ -103,7 +103,7 @@ def test_entropy_production_zero_on_rest():
     n = 8
     H = np.linspace(0.0, 0.4, n)
     state = SimState(0.0, 1.0 + H, np.zeros(n), H)
-    open_bc = BoundaryCondition.open()
+    open_bc = BoundaryCondition()
     after, info = step(state, SchemeConfig.from_id("hr"), Grid(0.0, 0.8, n),
                        open_bc, open_bc, 0.01, c)
     assert entropy_production_total(state, after, 0.01, 0.1, c, info) == 0.0

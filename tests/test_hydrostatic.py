@@ -81,8 +81,7 @@ def test_hr_source_is_segmentwise_path_integral(pair):
 def test_modified_corrections_zero_outside_large_steps(c):
     Wl = ExtState(PhysState(0.7, 0.1), 0.5)
     Wr = ExtState(PhysState(0.4, 0.2), 0.2)
-    iface = hr_reconstruct(Wl, Wr, c)
-    corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
+    corr = modified_hr_corrections(Wl, Wr, "dimensional", c)
     assert corr.T_minus == 0.0 and corr.T_plus == 0.0
 
 
@@ -102,7 +101,7 @@ def test_wet_wet_large_step_restores_full_integral(c):
     Wr = ExtState(PhysState(0.3, 0.05), 0.2)  # bottom at -0.2: large step, both wet
     iface = hr_reconstruct(Wl, Wr, c)
     assert bool(iface.large_step)
-    corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
+    corr = modified_hr_corrections(Wl, Wr, "dimensional", c)
     hm, hp = iface.w_minus.h, iface.w_plus.h
     minus, plus = kernel.hr_source(Wl.h, Wr.h, hm, hp, c.g)
     total_minus = minus + corr.T_minus
@@ -121,7 +120,7 @@ def test_rest_against_dry_bank_keeps_original(c):
     Wr = ExtState(PhysState(0.0, 0.0), -0.2)  # dry bank above the surface
     iface = hr_reconstruct(Wl, Wr, c)
     assert bool(iface.large_step)
-    corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
+    corr = modified_hr_corrections(Wl, Wr, "dimensional", c)
     assert corr.T_minus == 0.0 and corr.T_plus == 0.0
     assert not np.any(corr.gate_applied)
 
@@ -132,13 +131,12 @@ def test_gate_fires_for_energetic_inflow(c):
     Wr = ExtState(PhysState(0.0, 0.0), -0.05)      # bank 5 cm above the surface
     iface = hr_reconstruct(Wl, Wr, c)
     assert bool(iface.large_step)
-    corr = modified_hr_corrections(Wl, Wr, iface, "dimensional", c)
+    corr = modified_hr_corrections(Wl, Wr, "dimensional", c)
     assert bool(np.any(corr.gate_applied))
     assert corr.T_minus != 0.0
     # flow pointing away from the step never opens the gate
     Wl_away = ExtState(PhysState(0.5, -0.5 * 8.0), 0.5)
-    iface2 = hr_reconstruct(Wl_away, Wr, c)
-    corr2 = modified_hr_corrections(Wl_away, Wr, iface2, "dimensional", c)
+    corr2 = modified_hr_corrections(Wl_away, Wr, "dimensional", c)
     assert corr2.T_minus == 0.0 and not np.any(corr2.gate_applied)
 
 
@@ -157,8 +155,7 @@ def test_gate_policies_can_disagree(c):
             continue
         fired = {}
         for policy in ("dimensional", "as-printed"):
-            iface = hr_reconstruct(Wl, Wr, c)
-            corr = modified_hr_corrections(Wl, Wr, iface, policy, c)
+            corr = modified_hr_corrections(Wl, Wr, policy, c)
             fired[policy] = bool(np.any(corr.gate_applied))
         disagreement += fired["dimensional"] != fired["as-printed"]
     assert disagreement > 0

@@ -30,7 +30,7 @@ import pytest
 
 import swelab.cli as cli
 from swelab.core import ExtState, PhysConstants, PhysState
-from swelab.hydrostatic import GATE_POLICIES, hr_reconstruct, modified_hr_corrections
+from swelab.hydrostatic import GATE_POLICIES, modified_hr_corrections
 from swelab.presets import DEFAULT_CELLS, build_preset
 from swelab.solver import (
     SCHEMES,
@@ -69,8 +69,9 @@ CLI_FILES = {"run": ("snapshot_final.csv", "summary.json"), "sweep": ("sweep.csv
 def final_state(test_id: int, scheme: str):
     spec = build_preset(test_id)
     spec.stop = StopRule(final_time=FINAL_TIME[test_id])
-    final = run(spec, SchemeConfig.from_id(scheme)).final
-    return final.h, final.q
+    report = run(spec, SchemeConfig.from_id(scheme))
+    assert report.steady_reached == (report.stop_reason == "steady")
+    return report.final.h, report.final.q
 
 
 def _key(test_id, scheme, name):
@@ -177,15 +178,15 @@ def _preset_after(test_id, scheme, n_steps):
 
 # name -> (left boundary, right boundary, builder of (h, q, H) from a seeded rng)
 STEP_CASES = {
-    "dry-pairs": (_BC.discharge(0.05), _BC.depth(0.0), _dry_pairs),
-    "gate-right": (_BC.both(0.05, 0.15), _BC.open(), _gate_right),
-    "gate-left": (_BC.open(), _BC.both(0.05, -0.15), _gate_left),
-    "gate-split": (_BC.both(0.5, 4.0), _BC.depth(0.0), _gate_split),
-    "sonic": (_BC.periodic(), _BC.periodic(), _sonic),
-    "wet-discharge-depth": (_BC.discharge(0.3), _BC.depth(0.45), _wet),
-    "wet-both-discharge": (_BC.both(0.4, 0.5), _BC.discharge(-0.2), _wet),
-    "clip-step": (_BC.both(0.1, 0.15), _BC.open(), lambda rng: _preset_after(3, "force-wb", 40)),
-    "clip-runup": (_BC.both(0.1, 0.9), _BC.open(), lambda rng: _preset_after(5, "force-wb", 60)),
+    "dry-pairs": (_BC(q=0.05), _BC(h=0.0), _dry_pairs),
+    "gate-right": (_BC(h=0.05, q=0.15), _BC(), _gate_right),
+    "gate-left": (_BC(), _BC(h=0.05, q=-0.15), _gate_left),
+    "gate-split": (_BC(h=0.5, q=4.0), _BC(h=0.0), _gate_split),
+    "sonic": (_BC(periodic=True), _BC(periodic=True), _sonic),
+    "wet-discharge-depth": (_BC(q=0.3), _BC(h=0.45), _wet),
+    "wet-both-discharge": (_BC(h=0.4, q=0.5), _BC(q=-0.2), _wet),
+    "clip-step": (_BC(h=0.1, q=0.15), _BC(), lambda rng: _preset_after(3, "force-wb", 40)),
+    "clip-runup": (_BC(h=0.1, q=0.9), _BC(), lambda rng: _preset_after(5, "force-wb", 60)),
 }
 STEP_GRIDS = {"clip-step": 3, "clip-runup": 5}  # cases on a preset's grid
 
@@ -266,7 +267,7 @@ def test_one_step_cases_reach_their_branches(step_reference):
                         ("gate-split", ("dimensional",))):
         W_l, W_r = _pairs(name, ref)
         for policy in GATE_POLICIES:
-            corr = modified_hr_corrections(W_l, W_r, hr_reconstruct(W_l, W_r, C), policy, C)
+            corr = modified_hr_corrections(W_l, W_r, policy, C)
             assert bool(np.any(corr.gate_applied)) == (policy in fires), (name, policy)
     W_l, W_r = _pairs("sonic", ref)
     roe = roe_average(W_l.state, W_r.state, C)

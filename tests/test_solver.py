@@ -41,8 +41,8 @@ def _rest_spec(n=20, steady=False):
         grid=Grid(0.0, 1.0, n),
         bathymetry=bathy,
         init=init,
-        bc_left=BoundaryCondition.open(),
-        bc_right=BoundaryCondition.open(),
+        bc_left=BoundaryCondition(),
+        bc_right=BoundaryCondition(),
         stop=stop,
     )
 
@@ -88,19 +88,28 @@ def test_scheme_config_rejects_unknown_gate():
 
 def test_boundary_condition_checks_kind_and_values():
     """A rule fails when it is built, not steps later as a non-finite state."""
-    with pytest.raises(ValueError, match="kind"):
-        BoundaryCondition("inflow")
-    for kind in ("depth", "discharge", "both"):
-        with pytest.raises(ValueError, match="needs"):
-            BoundaryCondition(kind)
-    with pytest.raises(ValueError, match="needs q"):
-        BoundaryCondition("both", h=1.0)
-    for bad in (lambda: BoundaryCondition.both(-0.05, 0.1), lambda: BoundaryCondition.depth(np.nan),
-                lambda: BoundaryCondition.depth(np.inf), lambda: BoundaryCondition.discharge(np.inf),
-                lambda: BoundaryCondition.both(0.1, np.nan)):
+    for bad in (dict(h=-0.05, q=0.1), dict(h=np.nan), dict(h=np.inf), dict(q=np.inf),
+                dict(h=0.1, q=np.nan)):
         with pytest.raises(ValueError, match="finite"):
-            bad()
-    assert BoundaryCondition.depth(0.0).h == 0.0  # a dry outlet is a state
+            BoundaryCondition(**bad)
+    assert BoundaryCondition(h=0.0).h == 0.0  # a dry outlet is a state
+
+
+@pytest.mark.parametrize("values,kind", [
+    (dict(), "open"),
+    (dict(q=0.7), "discharge"),
+    (dict(h=0.9), "depth"),
+    (dict(h=1.0, q=-1.0), "both"),
+    (dict(periodic=True), "periodic"),
+])
+def test_boundary_kind_follows_the_values_it_imposes(values, kind):
+    assert BoundaryCondition(**values).kind == kind
+
+
+@pytest.mark.parametrize("values", [dict(h=0.3), dict(q=2.0), dict(h=0.3, q=2.0)])
+def test_periodic_boundary_imposes_no_value(values):
+    with pytest.raises(ValueError, match="periodic"):
+        BoundaryCondition(periodic=True, **values)
 
 
 def test_stop_rule_validation():
@@ -118,17 +127,26 @@ def test_stop_rule_validation():
     assert StopRule(final_time=0.0).time_bound() == 0.0
 
 
+def test_stop_rule_max_steps_is_an_integer_at_least_zero():
+    # with NaN, n_steps >= max_steps is never true and the guard never fires
+    for bad in (np.nan, np.inf, -3, 2.5, True, "10"):
+        with pytest.raises(ValueError, match="max_steps"):
+            StopRule(final_time=1.0, max_steps=bad)
+    for good in (0, 10, np.int64(10)):
+        assert StopRule(final_time=1.0, max_steps=good).max_steps == good
+
+
 def test_apply_boundaries_kinds():
     state = SimState(0.0, np.array([0.4, 0.5, 0.6]), np.array([0.1, 0.2, 0.3]),
                      np.array([0.0, 0.1, 0.2]))
     cases = [
-        (BoundaryCondition.open(), BoundaryCondition.open(),
+        (BoundaryCondition(), BoundaryCondition(),
          (0.4, 0.1, 0.0), (0.6, 0.3, 0.2)),
-        (BoundaryCondition.both(1.0, -1.0), BoundaryCondition.depth(0.9),
+        (BoundaryCondition(h=1.0, q=-1.0), BoundaryCondition(h=0.9),
          (1.0, -1.0, 0.0), (0.9, 0.3, 0.2)),
-        (BoundaryCondition.discharge(0.7), BoundaryCondition.periodic(),
+        (BoundaryCondition(q=0.7), BoundaryCondition(periodic=True),
          (0.4, 0.7, 0.0), (0.4, 0.1, 0.0)),  # the periodic ghost wraps to the left end
-        (BoundaryCondition.periodic(), BoundaryCondition.periodic(),
+        (BoundaryCondition(periodic=True), BoundaryCondition(periodic=True),
          (0.6, 0.3, 0.2), (0.4, 0.1, 0.0)),
     ]
     for bc_left, bc_right, want_l, want_r in cases:
@@ -186,7 +204,7 @@ def test_mass_conserved_on_periodic_domain(scheme):
     h = 0.8 + 0.2 * np.cos(2 * np.pi * x) + H
     q = 0.1 * np.sin(4 * np.pi * x)
     state = SimState(0.0, h, q, H)
-    bc = BoundaryCondition.periodic()
+    bc = BoundaryCondition(periodic=True)
     mass0 = np.sum(state.h) * grid.dx
     for _ in range(200):
         dt = cfl_dt(state, cfg, grid, c)
@@ -202,7 +220,7 @@ def test_step_raises_on_non_finite():
     h = np.array([0.5, 0.5, np.nan, 0.5, 0.5])
     state = SimState(0.0, h, np.zeros(5), np.zeros(5))
     with pytest.raises(SWEError, match="cell"):
-        step(state, cfg, grid, BoundaryCondition.open(), BoundaryCondition.open(),
+        step(state, cfg, grid, BoundaryCondition(), BoundaryCondition(),
              1e-3, c)
 
 
@@ -223,8 +241,8 @@ def test_hr_lax_friedrichs_positivity(seed):
     if not np.any(h > c.h_dry):
         return
     dt = cfl_dt(state, cfg, grid, c)
-    after, info = step(state, cfg, grid, BoundaryCondition.open(),
-                       BoundaryCondition.open(), dt, c)
+    after, info = step(state, cfg, grid, BoundaryCondition(),
+                       BoundaryCondition(), dt, c)
     assert info.min_h_pre_clip >= -1e-14
     assert np.all(after.h >= 0.0)
 
@@ -240,8 +258,8 @@ def test_mirror_symmetry_all_wet(seed):
 
     def spec(h, q, H):
         return SimSpec(grid=Grid(0.0, 1.0, n), bathymetry=lambda x: H,
-                       init=lambda x, _: (h, q), bc_left=BoundaryCondition.open(),
-                       bc_right=BoundaryCondition.open(), stop=StopRule(final_time=0.5))
+                       init=lambda x, _: (h, q), bc_left=BoundaryCondition(),
+                       bc_right=BoundaryCondition(), stop=StopRule(final_time=0.5))
 
     for scheme in (s for s, e in SCHEMES.items() if e["implemented"]):
         cfg = SchemeConfig.from_id(scheme)
@@ -265,8 +283,8 @@ def test_mirror_symmetry_dry_front(seed):
 
     def spec(h, q, H):
         return SimSpec(grid=Grid(0.0, 1.0, n), bathymetry=lambda x: H,
-                       init=lambda x, _: (h, q), bc_left=BoundaryCondition.open(),
-                       bc_right=BoundaryCondition.open(), stop=StopRule(final_time=0.1))
+                       init=lambda x, _: (h, q), bc_left=BoundaryCondition(),
+                       bc_right=BoundaryCondition(), stop=StopRule(final_time=0.1))
 
     for scheme in (s for s, e in SCHEMES.items() if e["implemented"]):
         cfg = SchemeConfig.from_id(scheme)
@@ -285,7 +303,7 @@ def _max_rest_update(h, H, scheme, steps=20):
     c = PhysConstants()
     cfg = SchemeConfig.from_id(scheme)
     grid = Grid(0.0, 1.0, len(h))
-    bc = BoundaryCondition.open()
+    bc = BoundaryCondition()
     state = SimState(0.0, h, np.zeros_like(h), H)
     worst = 0.0
     for _ in range(steps):
@@ -331,8 +349,16 @@ def test_c_property_wet_for_all_and_against_dry_banks_for_hr():
 
 # -- run loop -------------------------------------------------------------
 
+def _run(spec, scheme, c=PhysConstants()):
+    """``run``, checking that the report and its summary give one outcome."""
+    report = run(spec, SchemeConfig.from_id(scheme), c)
+    assert report.steady_reached == (report.stop_reason == "steady")
+    assert report.summary()["steady_reached"] == report.steady_reached
+    return report
+
+
 def test_run_reaches_steady_on_rest():
-    report = run(_rest_spec(steady=True), SchemeConfig.from_id("hr"))
+    report = _run(_rest_spec(steady=True), "hr")
     assert report.steady_reached
     assert report.metadata["omega_split_form"] == "half"
     assert report.metadata["scheme"] == "hr"
@@ -341,7 +367,7 @@ def test_run_reaches_steady_on_rest():
 def test_run_probes_and_summary():
     spec = _rest_spec()
     spec.probes = (("mid", 0.5),)
-    report = run(spec, SchemeConfig.from_id("roe"))
+    report = _run(spec, "roe")
     assert abs(report.final_time - 0.05) < 1e-12  # the last step lands on the final time
     assert "mid" in report.probes
     assert report.probes["mid"]["h"] > 0
@@ -351,7 +377,7 @@ def test_run_probes_and_summary():
 
 
 def test_run_records_the_dry_threshold_it_stepped_with():
-    report = run(_rest_spec(), SchemeConfig.from_id("roe"), PhysConstants(h_dry=1e-6))
+    report = _run(_rest_spec(), "roe", PhysConstants(h_dry=1e-6))
     assert report.metadata["h_dry"] == 1e-6
 
 
@@ -364,12 +390,22 @@ def test_registry_has_named_unimplemented_slot():
 # -- stop reasons ---------------------------------------------------------
 
 def test_stop_reason_steady():
-    report = run(_rest_spec(steady=True), SchemeConfig.from_id("hr"))
+    report = _run(_rest_spec(steady=True), "hr")
     assert report.steady_reached and report.stop_reason == "steady"
 
 
+def test_a_steady_step_that_lands_on_the_final_time_stops_as_steady():
+    """The steady verdict stands when its step also reached the time bound."""
+    spec = _rest_spec()
+    spec.bathymetry = lambda x: np.full_like(x, 0.5)  # flat: the first residual is 0
+    spec.stop = StopRule(final_time=1e-3, steady_tol=1e-8)
+    report = _run(spec, "hr")
+    assert report.n_steps == 1 and report.final_time == 1e-3
+    assert report.final_residual == 0.0 and report.stop_reason == "steady"
+
+
 def test_stop_reason_final_time():
-    report = run(_rest_spec(), SchemeConfig.from_id("roe"))
+    report = _run(_rest_spec(), "roe")
     assert report.final_time == pytest.approx(0.05)
     assert report.stop_reason == "final_time"
 
@@ -377,7 +413,7 @@ def test_stop_reason_final_time():
 def test_run_that_takes_no_step():
     spec = _rest_spec()
     spec.stop = StopRule(final_time=0.0)
-    report = run(spec, SchemeConfig.from_id("roe"))
+    report = _run(spec, "roe")
     assert report.n_steps == 0 and report.stop_reason == "final_time"
     assert report.final_residual is None
     assert report.summary()["final_residual"] is None
@@ -389,7 +425,7 @@ def test_stop_reason_max_time():
     """A steady-state run that is not steady when its backstop comes."""
     spec = build_preset(3)
     spec.stop = StopRule(steady_tol=1e-8, max_time=0.05)
-    report = run(spec, SchemeConfig.from_id("hr"))
+    report = _run(spec, "hr")
     assert not report.steady_reached and report.final_time == pytest.approx(0.05)
     assert report.stop_reason == "max_time"
 
@@ -397,6 +433,6 @@ def test_stop_reason_max_time():
 def test_stop_reason_max_steps():
     spec = build_preset(3)
     spec.stop = replace(spec.stop, max_steps=10)
-    report = run(spec, SchemeConfig.from_id("hr"))
+    report = _run(spec, "hr")
     assert report.n_steps == 10 and not report.steady_reached
     assert report.stop_reason == "max_steps"
