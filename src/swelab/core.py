@@ -147,7 +147,11 @@ def cell_velocity(h: np.ndarray, q: np.ndarray, h_dry: float) -> np.ndarray:
 def wet_cell_flux(h: np.ndarray, q: np.ndarray, g: float):
     """``cell_flux`` of cells that are all wet: u = q/h and (q, q u + g h^2/2)."""
     u = q / h
-    return u, q, q * u + 0.5 * g * h * h
+    f1 = q * u
+    p = 0.5 * g * h
+    p *= h
+    f1 += p
+    return u, q, f1
 
 
 def cell_flux(h: np.ndarray, q: np.ndarray, g: float, h_dry: float):
@@ -159,7 +163,11 @@ def cell_flux(h: np.ndarray, q: np.ndarray, g: float, h_dry: float):
         raise ValueError("negative water thickness")
     full = h > 0
     u_flux = np.where(full, q / np.maximum(h, 1e-300), 0.0)
-    return cell_velocity(h, q, h_dry), q * full, q * u_flux + 0.5 * g * h * h
+    f1 = q * u_flux
+    p = 0.5 * g * h
+    p *= h
+    f1 += p
+    return cell_velocity(h, q, h_dry), q * full, f1
 
 
 def velocity(w: PhysState, c: PhysConstants):

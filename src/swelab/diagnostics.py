@@ -110,7 +110,7 @@ def entropy_interface_check(hl, ql, Hl, hr, qr, Hr, F, c: PhysConstants, T_minus
     Fh = np.asarray(F[0], float)
     Fq = np.asarray(F[1], float)
     hl, ql, Hl, hr, qr, Hr = (np.asarray(a, float) for a in (hl, ql, Hl, hr, qr, Hr))
-    Hs, hm, hp, _ = hr_depths(hl, Hl, hr, Hr)
+    Hs, (hm, hp), _ = hr_depths(hl, Hl, hr, Hr)
     ul, ur = cell_velocity(hl, ql, c.h_dry), cell_velocity(hr, qr, c.h_dry)
     um, up = cell_velocity(hm, hm * ul, c.h_dry), cell_velocity(hp, hp * ur, c.h_dry)
     E_l = (

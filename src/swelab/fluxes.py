@@ -40,22 +40,26 @@ class RoeData:
         return (self.u - self.c, self.u + self.c)
 
 
-def _arrays(w_l: PhysState, w_r: PhysState):
-    return tuple(np.asarray(a, dtype=float) for a in (w_l.h, w_l.q, w_r.h, w_r.q))
+def _sides(w_l: PhysState, w_r: PhysState) -> np.ndarray:
+    """The states of both sides as the kernel's (2, 2, ...) array:
+    (h, q) by (left, right)."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                   for a in (w_l.h, w_r.h, w_l.q, w_r.q)))
+    return np.array(arrays).reshape(2, 2, *arrays[0].shape)
 
 
 def roe_average(w_l: PhysState, w_r: PhysState, c: PhysConstants) -> RoeData:
-    """Roe linearization of the interface (``kernel.roe_mean``)."""
-    return RoeData(*kernel.sides(*_arrays(w_l, w_r), c.g, c.h_dry)[2])
+    """Roe linearization of the interface (``kernel.interfaces``)."""
+    return RoeData(*kernel.sides(_sides(w_l, w_r), c.g, c.h_dry)[2])
 
 
 def roe_flux(w_l: PhysState, w_r: PhysState, c: PhysConstants):
     """Roe flux 1/2 (F_l + F_r) - 1/2 |J| (w_r - w_l)."""
-    return kernel.flux(*_arrays(w_l, w_r), c.g, c.h_dry)
+    return tuple(kernel.flux(_sides(w_l, w_r), c.g, c.h_dry))
 
 
 def omega_flux(w_l: PhysState, w_r: PhysState, omega: float, dx: float, dt: float,
                c: PhysConstants):
     """1/2 (F_l + F_r) - 1/2 [(1-omega) dx/dt Id + omega dt/dx J^2] (w_r - w_l)."""
     omega_ab = kernel.omega_coefficients(omega, dx, dt)
-    return kernel.flux(*_arrays(w_l, w_r), c.g, c.h_dry, omega_ab)
+    return tuple(kernel.flux(_sides(w_l, w_r), c.g, c.h_dry, omega_ab))

@@ -67,7 +67,7 @@ def _arrays(W_l: ExtState, W_r: ExtState):
 def hr_reconstruct(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> HRInterface:
     """One-sided states at H* = min(H_l, H_r) with the donor-cell
     velocities; see ``kernel.hr_depths``."""
-    H_star, hm, hp, large = kernel.hr_depths(*_arrays(W_l, W_r))
+    H_star, (hm, hp), large = kernel.hr_depths(*_arrays(W_l, W_r))
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     return HRInterface(H_star, PhysState(hm, hm * ul), PhysState(hp, hp * ur), large)
 
@@ -80,7 +80,8 @@ def modified_hr_corrections(W_l: ExtState, W_r: ExtState, gate: str,
     hl, Hl, hr, Hr = _arrays(W_l, W_r)
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     recon = kernel.hr_depths(hl, Hl, hr, Hr)
-    split = kernel.hr_source(hl, hr, recon[1], recon[2], c.g)
+    hm, hp = recon[1]
+    split = kernel.hr_source(hl, hr, hm, hp, c.g)
     return HRCorrections(*kernel.large_step_corrections(
         hl, ul, Hl, hr, ur, Hr, recon, split, c.g, c.h_dry, gate))
 
@@ -99,8 +100,8 @@ def hr_interface_terms(W_l: ExtState, W_r: ExtState, cfg, c: PhysConstants,
     hl, Hl, hr, Hr = _arrays(W_l, W_r)
     ql, qr = np.asarray(W_l.q, float), np.asarray(W_r.q, float)
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
-    F, (_, minus), (_, plus) = kernel.hydrostatic(
+    F, minus, plus = kernel.hydrostatic(
         hl, ql, ul, Hl, hr, qr, ur, Hr, c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate,
         kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt))
     zero = np.zeros_like(hl + hr)
-    return F, SourceSplit(minus=(zero, minus), plus=(zero, plus))
+    return tuple(F), SourceSplit(minus=(zero, minus), plus=(zero, plus))

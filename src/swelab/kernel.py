@@ -7,28 +7,47 @@ functions at the bottom, ``upwind`` and ``hydrostatic``, and ``fluxes``,
 functions. The cell formulas (velocity and physical flux) come from
 ``swelab.core``.
 
-Every flux is one formula, ``interface_flux``, fed with the states and
-physical fluxes of both sides of each interface (``sides``) and the
-``dissipation`` of its ``linearisation``. ``upwind`` takes a row of
-cells and, when every cell is wet, makes one cell pass over it (u,
-sqrt(h), sqrt(h) u and the physical flux), sliced for the two sides;
-``flux`` makes one per side. The hydrostatic reconstruction takes the
-cell velocities the same way. The linearisation (the Roe decomposition,
-or for an omega flux c^2 and the entries of J) is built once per
-interface and shared by the flux and its source split. Intermediate
-arrays die as soon as they are used: holding the decomposition and the
-|J| entries through the flux made a 3,200-cell hr step 5-18% slower.
-The row pass and the per-side passes compute each element with the same
-operations in the same order, so they give bit-identical results.
+Every flux is one formula, ``interface_flux``, fed with the mean
+physical flux and jump of each interface (``interfaces``) and the
+``dissipation`` of its ``linearisation``. ``upwind`` takes the padded
+rows W = (h, q, H) as one (3, n+2) array and, when every cell is wet,
+makes one cell pass over it (u, sqrt(h), sqrt(h) u and the physical
+flux), sliced for the two sides; ``flux`` takes the side states as one
+(2, 2, m) array, (h, q) by (left, right), and makes one pass over both
+sides. The hydrostatic reconstruction takes the cell velocities the
+same way. The linearisation (the Roe decomposition, or for an omega
+flux c^2 and the entries of J) is built once per interface and shared
+by the flux and its source split.
+
+Numpy's cost at these sizes is the call, not the arithmetic: a call
+costs 0.35-0.5 us and a reduction 0.8-0.95 us, about what the
+arithmetic of a few hundred cells costs. So every (mass, momentum) pair
+is one (2, m) float array, and one call serves both of its rows: the
+mean flux, the jump w_r - w_l, the dissipation, the flux, the
+eigenvalues and their moduli, the source splits and, in ``solver.step``,
+the update, whose finiteness takes one sum and whose clipped change,
+sum |dh| + sum |dq|, goes on ``StepInfo.update_l1`` for ``run``'s
+residual. ``solver.apply_boundaries`` builds the padded rows as one
+(3, n+2) array. A pair is contiguous, so a call on it takes numpy's fast
+path; a call that broadcasts a row over a pair, or reads a strided
+view, costs about twice a plain one, so a formula that is different
+in each row stays two row calls. Temporaries are chained in place
+(``t = a * l2; t -= b * l1; t /= d``) and die as soon as they are
+used: holding the decomposition and the |J| entries through the flux
+made a 3,200-cell hr step 5-18% slower. Every element keeps its
+floating-point operations in the order of the formulas as written, so
+the row pass, the per-side pass and the stacked pairs give the same
+bits as one element at a time.
 
 Interfaces the flux cannot see (dry on both sides, and for the
 hydrostatic reconstruction also two empty or damp reconstructed
 columns) are computed against the dummy wet state (1, 0) and zeroed;
 the upwind schemes raise ``DryInterfaceError`` if every interface is
 dry. Masks and substitutions are skipped where they would change
-nothing. The scheme functions return ``(F, S-, S+)``, each a (mass,
-momentum) pair; S- goes to the left cell, S+ to the right one, and a
-mass part of ``None`` is zero.
+nothing. The scheme functions return ``(F, S-, S+)``: F is a pair;
+S- goes to the left cell and S+ to the right one, each a pair for the
+upwind schemes and a momentum row alone for the hydrostatic ones, whose
+sources have no mass part.
 """
 
 from __future__ import annotations
@@ -59,77 +78,124 @@ def pressure(h, g):
     return 0.5 * g * h * h
 
 
-def wet_pairs(hl, ql, hr, qr, h_dry, live=None):
-    """The dummy wet state (1, 0) on both sides of the interfaces that are
-    not ``live``, and the mask (None, arrays unchanged, when all are).
-    ``live`` defaults to the interfaces with a wet side, and one is needed."""
+def _constant(x):
+    """A read-only 0-d float64 array. numpy converts a Python float operand
+    on every call, at about 0.2 us, as much as the arithmetic on a few
+    hundred cells; a 0-d array skips that and leaves every element's
+    operation unchanged."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_HALF, _ONE, _EPS = _constant(0.5), _constant(1.0), _constant(1e-8)
+
+
+def wet_pairs(S, h_dry, live=None):
+    """The side states ``S`` with the dummy wet state (1, 0) on both sides of
+    the interfaces that are not ``live``, and the mask (None, ``S``
+    unchanged, when all are). ``live`` defaults to the interfaces with a wet
+    side, and one is needed."""
     if live is None:
-        live = (hl > h_dry) | (hr > h_dry)
+        wet = S[0] > h_dry
+        live = wet[0] | wet[1]
         if not live.any():
             raise DryInterfaceError("dry interface")
     if live.all():
-        return hl, ql, hr, qr, None
-    return (*(np.where(live, a, d) for a, d in ((hl, 1.0), (ql, 0.0), (hr, 1.0), (qr, 0.0))), live)
+        return S, None
+    dummy = np.reshape((1.0, 0.0), (2,) + (1,) * (S.ndim - 1))
+    return np.where(live, S, dummy), live
 
 
-def _masked(wet, pair):
-    if wet is None:
-        return pair
-    return tuple(None if a is None else np.where(wet, a, 0.0) for a in pair)
+def _masked(wet, a):
+    return a if wet is None else np.where(wet, a, 0.0)
 
 
-def weights(h, u):
-    """sqrt(h) and sqrt(h) u, the weights of each cell in the Roe average."""
+def interfaces(L, R, g):
+    """1/2 (F_l + F_r) as one pair, the jump w_r - w_l and the Roe average
+    (u, c) from the cell values (h, q, F0, F1, sqrt(h), sqrt(h) u) on the
+    left, L, and on the right, R, of each interface.
+
+    The jump is the three rows (dq, dh, dq): its pair (dh, dq) is rows 1-2
+    and the swapped pair (dq, dh) rows 0-1, so |J| (dh, dq) takes two pair
+    products. The Roe average, u = (sqrt(h_l) u_l + sqrt(h_r) u_r) /
+    (sqrt(h_l) + sqrt(h_r)) and c = sqrt(g (h_l + h_r)/2), satisfies
+    F(w_r) - F(w_l) = J (w_r - w_l).
+    """
+    hl, ql, f0l, f1l, sl, sul = L
+    hr, qr, f0r, f1r, sr, sur = R
+    shape = hl.shape
+    mean = np.empty((2, *shape))
+    np.add(f0l, f0r, mean[0, ...])
+    np.add(f1l, f1r, mean[1, ...])
+    mean *= _HALF
+    D = np.empty((3, *shape))
+    np.subtract(qr, ql, D[0, ...])
+    np.subtract(hr, hl, D[1, ...])
+    D[2, ...] = D[0, ...]
+    u = sul + sur
+    u /= sl + sr
+    c = hl + hr
+    c *= g * 0.5
+    return mean, D, (u, np.sqrt(c))
+
+
+def sides(S, g, h_dry, live=None):
+    """The ``interfaces`` of the side states ``S``, (h, q) by (left, right),
+    dummy where not ``live`` (see ``wet_pairs``), and the mask; one cell
+    pass covers both sides."""
+    S, wet = wet_pairs(S, h_dry, live)
+    h, q = S[0], S[1]
+    u, f0, f1 = cell_flux(h, q, g, h_dry)
     s = np.sqrt(h)
-    return s, s * u
+    u *= s
+    cells = (h, q, f0, f1, s, u)
+    return (*interfaces([a[0] for a in cells], [a[1] for a in cells], g), wet)
 
 
-def roe_mean(hl, sl, sul, hr, sr, sur, g):
-    """Roe velocity and celerity sqrt(g (h_l + h_r)/2) from the depths and
-    ``weights`` of both sides, which satisfy F(w_r) - F(w_l) = J (w_r - w_l)."""
-    return (sul + sur) / (sl + sr), np.sqrt(g * 0.5 * (hl + hr))
-
-
-def sides(hl, ql, hr, qr, g, h_dry, live=None):
-    """(h, q, F0, F1) on both sides of each interface, dummy where not
-    ``live`` (see ``wet_pairs``), the Roe average (u, c) and the mask."""
-    hl, ql, hr, qr, wet = wet_pairs(hl, ql, hr, qr, h_dry, live)
-    ul, fl0, fl1 = cell_flux(hl, ql, g, h_dry)
-    ur, fr0, fr1 = cell_flux(hr, qr, g, h_dry)
-    roe = roe_mean(hl, *weights(hl, ul), hr, *weights(hr, ur), g)
-    return (hl, ql, fl0, fl1), (hr, qr, fr0, fr1), roe, wet
-
-
-def row_sides(h, q, g, h_dry):
-    """``sides`` of the interfaces between consecutive cells of a row; when
-    every cell is wet, one cell pass sliced for both sides and no mask."""
+def row_sides(W, g, h_dry):
+    """``sides`` of the interfaces between consecutive cells of the row
+    W = (h, q, ...); when every cell is wet, one cell pass sliced for both
+    sides and no mask."""
+    h, q = W[0], W[1]
     if h.min() > h_dry:
-        u, f0, f1 = wet_cell_flux(h, q, g)
-        s, su = weights(h, u)
-        roe = roe_mean(h[:-1], s[:-1], su[:-1], h[1:], s[1:], su[1:], g)
-        return (h[:-1], q[:-1], f0[:-1], f1[:-1]), (h[1:], q[1:], f0[1:], f1[1:]), roe, None
-    return sides(h[:-1], q[:-1], h[1:], q[1:], g, h_dry)
+        u, _, f1 = wet_cell_flux(h, q, g)
+        s = np.sqrt(h)
+        u *= s
+        ql, qr = q[:-1], q[1:]  # q is F0 too
+        L = (h[:-1], ql, ql, f1[:-1], s[:-1], u[:-1])
+        R = (h[1:], qr, qr, f1[1:], s[1:], u[1:])
+        return (*interfaces(L, R, g), None)
+    S = np.empty((2, 2, len(h) - 1))
+    S[:, 0] = W[:2, :-1]
+    S[:, 1] = W[:2, 1:]
+    return sides(S, g, h_dry)
 
 
-def row_states(h, q, H, h_dry):
+def row_states(W, h_dry):
     """(h, q, u, H) on the left and on the right of each interface between
-    consecutive cells of a row, the ``cell_velocity`` u taken once per cell."""
+    consecutive cells of the row W = (h, q, H), the ``cell_velocity`` u
+    taken once per cell."""
+    h, q, H = W[0], W[1], W[2]
     u = cell_velocity(h, q, h_dry)
     return h[:-1], q[:-1], u[:-1], H[:-1], h[1:], q[1:], u[1:], H[1:]
 
 
 def roe_decomposition(u, c):
-    """(u, c, l1, l2, |l1|, |l2|, 2c) with the eigenvalues l1, l2 = u -/+ c
-    and 2c = l2 - l1: what |J| and the Roe source split read."""
-    l1, l2 = u - c, u + c
-    return u, c, l1, l2, np.abs(l1), np.abs(l2), 2.0 * c
+    """(u, c, lam, |lam|, 2c) with the eigenvalues lam = (l1, l2) = (u - c,
+    u + c) as one pair and 2c = l2 - l1: what |J| and the Roe source split
+    read."""
+    lam = np.empty((2, *c.shape))
+    np.subtract(u, c, lam[0, ...])
+    np.add(u, c, lam[1, ...])
+    return u, c, lam, np.abs(lam), c + c  # c + c is 2.0 * c exactly
 
 
 def jacobian_terms(u, c):
     """(c^2, c^2 - u^2, 2u): J = [[0, 1], [c^2 - u^2, 2u]] and the c^2 of
     the omega source split."""
     c2 = c * c
-    return c2, c2 - u * u, 2.0 * u
+    return c2, c2 - u * u, u + u  # u + u is 2.0 * u exactly
 
 
 def linearisation(u, c, omega_ab):
@@ -145,15 +211,26 @@ def apply_jacobian(terms, v0, v1):
 
 
 def abs_jacobian(eig):
-    """Entries (m00, m01, m10, m11) of |J| = K |Lambda| K^-1 from the
-    ``roe_decomposition``."""
-    _, _, l1, l2, a, b, d = eig
-    return (a * l2 - b * l1) / d, (b - a) / d, l1 * l2 * (a - b) / d, (b * l2 - a * l1) / d
+    """|J| = K |Lambda| K^-1 from the ``roe_decomposition``, as two pairs of
+    its entries: the diagonal (m00, m11) and the off-diagonal (m01, m10)."""
+    _, _, lam, A, d = eig
+    l1, l2, a, b = lam[0, ...], lam[1, ...], A[0, ...], A[1, ...]
+    M = np.empty((4, *d.shape))
+    m00, m11, m01, m10 = M[0, ...], M[1, ...], M[2, ...], M[3, ...]
+    np.multiply(a, l2, m00)
+    m00 -= b * l1
+    np.multiply(b, l2, m11)
+    m11 -= a * l1
+    np.subtract(b, a, m01)
+    np.subtract(a, b, m10)
+    m10 *= l1 * l2
+    M /= d
+    return M[:2], M[2:]
 
 
 def lambda_floor(u, c):
     """Scale-relative threshold below which an eigenvalue counts as zero."""
-    return 1e-8 * np.maximum(1.0, np.abs(u) + c)
+    return _EPS * np.maximum(_ONE, np.abs(u) + c)
 
 
 def omega_coefficients(omega, dx, dt):
@@ -173,69 +250,117 @@ def omega_weights(flux, cfl, dx, dt):
     return omega_coefficients(OMEGA_RULES[flux](cfl), dx, dt)
 
 
-def dissipation(L, R, lin, omega_ab=None):
-    """|J| (w_r - w_l) for the Roe flux, or (a Id + b J^2) (w_r - w_l) with
-    ``omega_ab = (a, b)``, from the ``linearisation`` ``lin``."""
-    d0, d1 = R[0] - L[0], R[1] - L[1]
+def dissipation(D, lin, omega_ab=None):
+    """|J| (dh, dq) for the Roe flux, or (a Id + b J^2) (dh, dq) with
+    ``omega_ab = (a, b)``, as one pair, from the jump D (see
+    ``interfaces``), which it overwrites, and the ``linearisation`` ``lin``."""
+    jump = D[1:]
     if omega_ab is None:
-        m00, m01, m10, m11 = abs_jacobian(lin)
-        return m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
+        diagonal, off = abs_jacobian(lin)
+        diagonal *= jump  # m00 dh, m11 dq
+        off *= D[:2]  # m01 dq, m10 dh
+        diagonal += off
+        return diagonal
     a, b = omega_ab
-    j0, j1 = apply_jacobian(lin, d0, d1)
-    jj0, jj1 = apply_jacobian(lin, j0, j1)
-    return a * d0 + b * jj0, a * d1 + b * jj1
+    _, k, u2 = lin
+    d0, d1 = jump[0, ...], jump[1, ...]
+    JJ = np.empty_like(jump)  # J^2 D = J (d1, j1) = (j1, k d1 + u2 j1)
+    j1, jj1 = JJ[0, ...], JJ[1, ...]
+    np.multiply(k, d0, j1)
+    j1 += u2 * d1
+    np.multiply(k, d1, jj1)
+    jj1 += u2 * j1
+    jump *= a
+    JJ *= b
+    jump += JJ
+    return jump
 
 
-def interface_flux(L, R, v):
-    """1/2 (F_l + F_r) - 1/2 v from the physical fluxes of the ``sides`` L,
-    R and their ``dissipation`` v: the one formula of every flux."""
-    return 0.5 * (L[2] + R[2]) - 0.5 * v[0], 0.5 * (L[3] + R[3]) - 0.5 * v[1]
+def interface_flux(mean, v):
+    """1/2 (F_l + F_r) - 1/2 v from the mean of the physical fluxes (see
+    ``interfaces``) and the ``dissipation`` v: the one formula of every
+    flux, on (mass, momentum) pairs. Both arguments are overwritten."""
+    v *= _HALF
+    mean -= v
+    return mean
 
 
-def flux(hl, ql, hr, qr, g, h_dry, omega_ab=None, live=None):
-    """Roe flux, or an omega flux with ``omega_ab = (a, b)``, of the states
-    on both sides of each interface, zero off ``live`` (see ``wet_pairs``)."""
-    L, R, (u, c), wet = sides(hl, ql, hr, qr, g, h_dry, live)
-    v = dissipation(L, R, linearisation(u, c, omega_ab), omega_ab)
-    return _masked(wet, interface_flux(L, R, v))
+def flux(S, g, h_dry, omega_ab=None, live=None):
+    """Roe flux, or an omega flux with ``omega_ab = (a, b)``, of the side
+    states ``S`` (see ``sides``), as one pair, zero off ``live`` (see
+    ``wet_pairs``)."""
+    mean, D, (u, c), wet = sides(S, g, h_dry, live)
+    v = dissipation(D, linearisation(u, c, omega_ab), omega_ab)
+    return _masked(wet, interface_flux(mean, v))
+
+
+def _split(c2, dH, up):
+    """(S-, S+) = 1/2 ((0, c^2 dH) -+ up), each a pair."""
+    plus = np.empty_like(up)
+    plus[0, ...] = 0.0
+    np.multiply(c2, dH, plus[1, ...])
+    minus = plus - up
+    minus *= _HALF
+    plus += up
+    plus *= _HALF
+    return minus, plus
 
 
 def roe_source(eig, dH):
-    """S+- = 1/2 (Id +- |J| J^-1) (0, c^2 dH), as (S-, S+), from the
-    ``roe_decomposition``.
+    """S+- = 1/2 (Id +- |J| J^-1) (0, c^2 dH), as (S-, S+), each a pair, from
+    the ``roe_decomposition``.
 
     |J| J^-1 (0, c^2) = c^2 K sgn(Lambda) K^-1 e2, each sign taken as
     lam / max(|lam|, lambda_floor) so sonic interfaces stay finite.
     """
-    u, c, l1, l2, a, b, d = eig
+    u, c, lam, A, d = eig
     c2 = c * c
-    floor = lambda_floor(u, c)
-    s1 = l1 / np.maximum(a, floor)
-    s2 = l2 / np.maximum(b, floor)
-    up0 = c2 * (s2 - s1) / d * dH
-    up1 = c2 * (s2 * l2 - s1 * l1) / d * dH
-    c2dH = c2 * dH
-    return (0.5 * (0.0 - up0), 0.5 * (c2dH - up1)), (0.5 * (0.0 + up0), 0.5 * (c2dH + up1))
+    sign = np.maximum(A, lambda_floor(u, c))
+    np.divide(lam, sign, sign)  # s1, s2
+    sign_lam = sign * lam  # s1 l1, s2 l2
+    up = np.empty_like(sign)
+    up0, up1 = up[0, ...], up[1, ...]
+    np.subtract(sign[1, ...], sign[0, ...], up0)  # s2 - s1
+    np.subtract(sign_lam[1, ...], sign_lam[0, ...], up1)  # s2 l2 - s1 l1
+    del sign, sign_lam
+    for row in up0, up1:
+        row *= c2
+        row /= d
+        row *= dH
+    return _split(c2, dH, up)
 
 
 def omega_source(terms, dH, a, b):
     """S+- = 1/2 [(0, c^2 dH) +- (a (J*)^-1 + b J) (0, c^2 dH)], as (S-, S+),
-    from the ``jacobian_terms``, with (J*)^-1 (0, c^2 dH) = (dH, 0) and
-    J (0, c^2 dH) = (c^2 dH, 2 u c^2 dH)."""
+    each a pair, from the ``jacobian_terms``, with (J*)^-1 (0, c^2 dH) =
+    (dH, 0) and J (0, c^2 dH) = (c^2 dH, 2 u c^2 dH)."""
     c2, _, u2 = terms
+    up = np.empty((2, *dH.shape))
+    up0, up1 = up[0, ...], up[1, ...]
+    np.multiply(a, dH, up0)
     c2dH = c2 * dH
-    up0 = a * dH + b * c2dH
-    up1 = b * (u2 * c2 * dH)
-    return (0.5 * (0.0 - up0), 0.5 * (c2dH - up1)), (0.5 * (0.0 + up0), 0.5 * (c2dH + up1))
+    c2dH *= b
+    up0 += c2dH
+    del c2dH
+    np.multiply(u2, c2, up1)
+    up1 *= dH
+    up1 *= b
+    return _split(c2, dH, up)
 
 
-def hr_depths(hl, Hl, hr, Hr):
-    """H* = min(H_l, H_r), the depths h-, h+ re-measured from H* and
-    clipped at zero, and the large-step flags (a column truncated)."""
+def hr_depths(hl, Hl, hr, Hr, out=None):
+    """H* = min(H_l, H_r), the depths (h-, h+) re-measured from H* and
+    clipped at zero, as one pair (``out`` if given), and the large-step
+    flags (a column truncated)."""
     H_star = np.minimum(Hl, Hr)
-    el = hl - Hl + H_star
-    er = hr - Hr + H_star
-    return H_star, np.maximum(el, 0.0), np.maximum(er, 0.0), (el < 0) | (er < 0)
+    e = np.empty((2, *H_star.shape)) if out is None else out
+    el, er = e[0, ...], e[1, ...]
+    np.subtract(hl, Hl, el)
+    el += H_star
+    np.subtract(hr, Hr, er)
+    er += H_star
+    truncated = e < 0
+    return H_star, np.maximum(e, 0.0, out=e), truncated[0] | truncated[1]
 
 
 def hr_source(hl, hr, hm, hp, g):
@@ -263,7 +388,8 @@ def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
     bottom level) it applies only if the energy gate lets the fluid climb.
     """
     check_gate(gate)
-    H_star, hm, hp, large = recon
+    H_star, depths, large = recon
+    hm, hp = depths[0], depths[1]
     dry_l, dry_r = hl <= h_dry, hr <= h_dry
     apply, gated = large, np.zeros_like(large)
     if dry_l.any() or dry_r.any():
@@ -280,13 +406,17 @@ def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
     return np.where(apply, t_minus, 0.0), np.where(apply, t_plus, 0.0), gated
 
 
-def upwind(h, q, H, g, h_dry, omega_ab=None):
+def upwind(W, g, h_dry, omega_ab=None):
     """Roe flux with the characteristic source split, or an omega centred
     flux, ``omega_ab = (a, b)``, with its paired source split, over the
-    interfaces between consecutive cells of the row (h, q, H)."""
-    L, R, (u, c), wet = row_sides(h, q, g, h_dry)
+    interfaces between consecutive cells of the row W = (h, q, H)."""
+    mean, D, (u, c), wet = row_sides(W, g, h_dry)
+    if omega_ab is not None:  # each weight is used several times
+        omega_ab = tuple(_constant(w) for w in omega_ab)
     lin = linearisation(u, c, omega_ab)
-    F = interface_flux(L, R, dissipation(L, R, lin, omega_ab))
+    F = interface_flux(mean, dissipation(D, lin, omega_ab))
+    del D
+    H = W[2]
     dH = H[1:] - H[:-1]
     if omega_ab is None:
         minus, plus = roe_source(lin, dH)
@@ -300,17 +430,26 @@ def hydrostatic(hl, ql, ul, Hl, hr, qr, ur, Hr, g, h_dry, modified, gate, omega_
     ``omega_ab = (a, b)``, from the states and cell velocities on both
     sides (see ``row_states``); ``modified`` adds the large-step corrections.
     The flux is zero unless a side is wet and so is a reconstructed column
-    (``live``; not, e.g., at rest against a bank), the sources unless a side is."""
-    recon = hr_depths(hl, Hl, hr, Hr)
-    _, hm, hp, large = recon
+    (``live``; not, e.g., at rest against a bank), the sources unless a side
+    is. The sources are the momentum parts of S- and S+ alone: they have no
+    mass part."""
+    S = np.empty((2, 2, *np.shape(hl)))  # the reconstructed columns, see ``sides``
+    depths = S[0]
+    recon = hr_depths(hl, Hl, hr, Hr, out=depths)
+    hm, hp = depths[0], depths[1]
+    large = recon[2]
     minus, plus = split = hr_source(hl, hr, hm, hp, g)
     if modified and large.any():
         t_minus, t_plus, _ = large_step_corrections(
             hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
         minus, plus = minus + t_minus, plus + t_plus
+    del recon, split
     wet = (hl > h_dry) | (hr > h_dry)
-    live = wet & ((hm > h_dry) | (hp > h_dry))
-    F = flux(hm, hm * ul, hp, hp * ur, g, h_dry, omega_ab, live)
+    column_wet = depths > h_dry
+    live = wet & (column_wet[0] | column_wet[1])
+    np.multiply(hm, ul, out=S[1, 0, ...])
+    np.multiply(hp, ur, out=S[1, 1, ...])
+    F = flux(S, g, h_dry, omega_ab, live)
     if wet.all():
         wet = None
-    return F, _masked(wet, (None, minus)), _masked(wet, (None, plus))
+    return F, _masked(wet, minus), _masked(wet, plus)

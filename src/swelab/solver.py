@@ -211,6 +211,7 @@ class StepInfo:
     clip_events: int
     minor_clip_events: int
     min_h_pre_clip: float
+    update_l1: float  # sum |h^{n+1} - h^n| + sum |q^{n+1} - q^n| of the clipped update
     ghosts: tuple  # (h, q, H) of the left and of the right ghost cell
     left_flux: tuple  # one-sided flux F- seen by the left ghost
     right_flux: tuple  # one-sided flux F+ seen by the right ghost
@@ -264,7 +265,11 @@ def cfl_dt(state: SimState, cfg: SchemeConfig, grid: Grid, c: PhysConstants) -> 
         if not wet.any():
             raise DryStateError("all cells dry, no wave speed")
         h, q = h[wet], q[wet]
-    smax = (np.abs(q) / h + np.sqrt(c.g * h)).max()
+    s = np.abs(q)
+    s /= h
+    celerity = c.g * h
+    s += np.sqrt(celerity, out=celerity)
+    smax = s.max()
     if smax <= 0:
         raise SWEError("zero wave speed")
     return cfg.cfl * grid.dx / smax
@@ -272,31 +277,35 @@ def cfl_dt(state: SimState, cfg: SchemeConfig, grid: Grid, c: PhysConstants) -> 
 
 def apply_boundaries(state: SimState, bc_left: BoundaryCondition,
                      bc_right: BoundaryCondition):
-    """The rows (h, q, H) with one ghost cell on each side, and each ghost's
-    (h, q, H), left then right. A ghost takes its boundary's given values and
-    the rest, H included, from the near end cell (the far one if periodic)."""
+    """One (3, n+2) array of the rows (h, q, H) with one ghost cell on each
+    side, and each ghost's (h, q, H), left then right. A ghost takes its
+    boundary's given values and the rest, H included, from the near end cell
+    (the far one if periodic). Periodicity needs both sides periodic."""
+    if bc_left.periodic != bc_right.periodic:
+        raise ValueError("a periodic boundary needs a periodic boundary on the other side")
     ghosts = []
     for bc, near, far in ((bc_left, 0, -1), (bc_right, -1, 0)):
         i = far if bc.periodic else near
         ghosts.append((state.h[i] if bc.h is None else bc.h,
                        state.q[i] if bc.q is None else bc.q, state.H[i]))
-    (hl, ql, Hl), (hr, qr, Hr) = ghosts
-    n = len(state.h) + 2
-    hp, qp, Hp = np.empty(n), np.empty(n), np.empty(n)
-    hp[0], hp[1:-1], hp[-1] = hl, state.h, hr
-    qp[0], qp[1:-1], qp[-1] = ql, state.q, qr
-    Hp[0], Hp[1:-1], Hp[-1] = Hl, state.H, Hr
-    return (hp, qp, Hp), ghosts
+    W = np.empty((3, len(state.h) + 2))
+    W[0, 1:-1] = state.h
+    W[1, 1:-1] = state.q
+    W[2, 1:-1] = state.H
+    W[:, 0], W[:, -1] = ghosts
+    return W, ghosts
 
 
-def interface_terms(hp: np.ndarray, qp: np.ndarray, Hp: np.ndarray, cfg: SchemeConfig,
-                    dx: float, dt: float, c: PhysConstants):
-    """(F0, F1), (Sm0, Sm1), (Sp0, Sp1) over the interfaces of the padded
-    arrays (see ``kernel``); dry/dry interfaces carry zeros."""
+def interface_terms(W: np.ndarray, cfg: SchemeConfig, dx: float, dt: float,
+                    c: PhysConstants):
+    """F, S-, S+ over the interfaces of the padded rows W = (h, q, H) (see
+    ``kernel``): F is a (2, m) pair, and so are the sources of the upwind
+    schemes; the hydrostatic sources are momentum rows alone. Dry/dry
+    interfaces carry zeros."""
     omega_ab = kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt)
     if cfg.source == "upwind":
-        return kernel.upwind(hp, qp, Hp, c.g, c.h_dry, omega_ab)
-    return kernel.hydrostatic(*kernel.row_states(hp, qp, Hp, c.h_dry), c.g, c.h_dry,
+        return kernel.upwind(W, c.g, c.h_dry, omega_ab)
+    return kernel.hydrostatic(*kernel.row_states(W, c.h_dry), c.g, c.h_dry,
                               cfg.source == "modified-hr", cfg.gate, omega_ab)
 
 
@@ -309,17 +318,25 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
     below h_dry, a clip event beyond); cells at or below h_dry carry no
     momentum. Raises on non-finite values, naming the first bad cell.
     """
-    (hp, qp, Hp), ghosts = apply_boundaries(state, bc_left, bc_right)
+    W, ghosts = apply_boundaries(state, bc_left, bc_right)
     dx = grid.dx
-    (F0, F1), (Sm0, Sm1), (Sp0, Sp1) = interface_terms(hp, qp, Hp, cfg, dx, dt, c)
+    F, Sm, Sp = interface_terms(W, cfg, dx, dt, c)
     r = dt / dx
-    h = state.h - r * (F0[1:] - F0[:-1])
-    if Sm0 is not None:
-        h = h + r * (Sp0[:-1] + Sm0[1:])
-    q = state.q - r * (F1[1:] - F1[:-1]) + r * (Sp1[:-1] + Sm1[1:])
-    # a non-finite value makes its sum non-finite; only then look cell by cell
-    if not math.isfinite(h.sum() + q.sum()):
-        finite = np.isfinite(h) & np.isfinite(q)
+    w = W[:2, 1:-1]  # (h, q) at time n
+    Wn = F[:, 1:] - F[:, :-1]
+    Wn *= r
+    np.subtract(w, Wn, out=Wn)
+    h, q = Wn[0], Wn[1]
+    S = Sp[..., :-1] + Sm[..., 1:]
+    S *= r
+    if S.ndim == 2:
+        Wn += S
+    else:  # the hydrostatic sources have no mass part
+        q += S
+    del S
+    # a non-finite value makes the sum non-finite; only then look cell by cell
+    if not math.isfinite(Wn.sum()):
+        finite = np.isfinite(Wn).all(axis=0)
         if not finite.all():
             bad = int(np.argmax(~finite))
             raise SWEError(f"non-finite state in cell {bad} at t = {state.t + dt}")
@@ -328,18 +345,25 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
     if min_h < 0:
         clips = int(np.count_nonzero(h < -c.h_dry))
         minor = int(np.count_nonzero(h < 0)) - clips
-        h = np.maximum(h, 0.0)
+        np.maximum(h, 0.0, out=h)
     if min_h <= c.h_dry:  # else every cell is wet
-        q = np.where(h > c.h_dry, q, 0.0)
-    sm0 = 0.0 if Sm0 is None else Sm0[0]
-    sp0 = 0.0 if Sp0 is None else Sp0[-1]
+        q[h <= c.h_dry] = 0.0
+    change = Wn - w
+    l1 = np.abs(change, out=change).sum(axis=1)
+    sm, sp = (Sm[:, 0], Sp[:, -1]) if Sm.ndim == 2 else ((0.0, Sm[0]), (0.0, Sp[-1]))
+    # the state is copied after every temporary of the step: on a large grid
+    # the copy then lies above them on the heap, so their release returns no
+    # pages to the system for the next step to fault in again
+    Wn = Wn.copy()
+    h, q = Wn[0], Wn[1]
     info = StepInfo(
         clip_events=clips,
         minor_clip_events=minor,
         min_h_pre_clip=min_h,
+        update_l1=l1[0] + l1[1],
         ghosts=tuple(ghosts),
-        left_flux=(F0[0] - sm0, F1[0] - Sm1[0]),
-        right_flux=(F0[-1] + sp0, F1[-1] + Sp1[-1]),
+        left_flux=(F[0, 0] - sm[0], F[1, 0] - sm[1]),
+        right_flux=(F[0, -1] + sp[0], F[1, -1] + sp[1]),
     )
     return SimState(state.t + dt, h, q, state.H), info
 
@@ -399,8 +423,7 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         n_steps += 1
         clips += info.clip_events
         minor += info.minor_clip_events
-        res = float((np.abs(state.h - before.h).sum() + np.abs(state.q - before.q).sum())
-                    * dx / dt)
+        res = float(info.update_l1 * dx / dt)
         if residual0 is None:
             residual0 = res
         if track_entropy:

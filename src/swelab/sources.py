@@ -53,7 +53,7 @@ def roe_source_split(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> SourceSp
     dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
     roe = roe_average(W_l.state, W_r.state, c)
     minus, plus = kernel.roe_source(kernel.roe_decomposition(roe.u, roe.c), dH)
-    return SourceSplit(minus=minus, plus=plus)
+    return SourceSplit(minus=tuple(minus), plus=tuple(plus))
 
 
 def omega_source_split(W_l: ExtState, W_r: ExtState, omega: float, dx: float, dt: float,
@@ -63,7 +63,7 @@ def omega_source_split(W_l: ExtState, W_r: ExtState, omega: float, dx: float, dt
     dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
     roe = roe_average(W_l.state, W_r.state, c)
     minus, plus = kernel.omega_source(kernel.jacobian_terms(roe.u, roe.c), dH, a, b)
-    return SourceSplit(minus=minus, plus=plus)
+    return SourceSplit(minus=tuple(minus), plus=tuple(plus))
 
 
 def resolved_split_form() -> str:

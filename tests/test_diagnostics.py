@@ -120,6 +120,7 @@ def test_entropy_production_interior_term():
     after.h[1] = 0.49  # lose a little potential energy in one cell
     F = tuple(physical_flux(PhysState(0.5, 0.1), c))
     info = StepInfo(clip_events=0, minor_clip_events=0, min_h_pre_clip=0.49,
+                    update_l1=float(np.abs(after.h - before.h).sum()),
                     ghosts=((0.5, 0.1, 0.0), (0.5, 0.1, 0.0)), left_flux=F, right_flux=F)
     val = entropy_production_total(before, after, 0.01, 0.1, c, info)
     # interior change only: boundary cells are identical, G cancels

@@ -11,7 +11,7 @@ seeded states with dry/dry pairs, emerging-bottom gates under both gate
 policies, sonic Roe interfaces, every boundary kind and a clipping step.
 Each state takes one ``step`` per implemented scheme (modified-hr once
 per gate policy); the new h, q and the ``StepInfo`` must match the
-reference in ``one_step.npz`` to 1e-12 relative.
+reference in ``one_step.npz`` to 1e-12 relative, and byte for byte.
 
 The reference lives in ``tests/data/regression_lock/``. Regenerate it
 only for a change that is meant to move results, and say so:
@@ -247,6 +247,21 @@ def test_one_step_locked(step_reference, name, scheme, gate):
     assert _rel(info[2], want[2]) <= REL_TOL, f"{key}: min_h_pre_clip"
     assert _rel(info[3:7], want[3:7]) <= REL_TOL, f"{key}: boundary fluxes"
     assert info[7:].tolist() == want[7:].tolist(), f"{key}: ghosts"
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+@pytest.mark.parametrize("scheme,gate", STEP_VARIANTS)
+def test_one_step_bit_identical(step_reference, name, scheme, gate):
+    """The one-step results equal the reference byte for byte, signed zeros
+    included: the step's arithmetic, not only its values, is pinned."""
+    ref = step_reference
+    h0, q0, H0 = (ref[f"{name}/{k}"] for k in ("h0", "q0", "H0"))
+    key = f"{name}/{_variant(scheme, gate)}"
+    dt = one_step(name, h0, q0, H0, scheme, gate)[0]
+    _, h, q, info = one_step(name, h0, q0, H0, scheme, gate, dt=float(ref[key + "/dt"]))
+    for part, got in (("dt", np.float64(dt)), ("h", h), ("q", q), ("info", info)):
+        want = ref[f"{key}/{part}"]
+        assert np.asarray(got).tobytes() == want.tobytes(), f"{key}: {part} bytes"
 
 
 def _pairs(name, ref):

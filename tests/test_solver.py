@@ -144,8 +144,6 @@ def test_apply_boundaries_kinds():
          (0.4, 0.1, 0.0), (0.6, 0.3, 0.2)),
         (BoundaryCondition(h=1.0, q=-1.0), BoundaryCondition(h=0.9),
          (1.0, -1.0, 0.0), (0.9, 0.3, 0.2)),
-        (BoundaryCondition(q=0.7), BoundaryCondition(periodic=True),
-         (0.4, 0.7, 0.0), (0.4, 0.1, 0.0)),  # the periodic ghost wraps to the left end
         (BoundaryCondition(periodic=True), BoundaryCondition(periodic=True),
          (0.6, 0.3, 0.2), (0.4, 0.1, 0.0)),
     ]
@@ -156,6 +154,18 @@ def test_apply_boundaries_kinds():
             assert row.shape == (5,)
             assert row[1:-1].tolist() == interior.tolist()
             assert (row[0], row[-1]) == (gl[k], gr[k])
+    # periodicity on one side only would be neither periodic nor closed:
+    # the ghost rule refuses it, for a direct step as for a run
+    c = PhysConstants()
+    cfg = SchemeConfig.from_id("roe")
+    for pair in ((BoundaryCondition(q=0.7), BoundaryCondition(periodic=True)),
+                 (BoundaryCondition(periodic=True), BoundaryCondition())):
+        with pytest.raises(ValueError, match="periodic"):
+            apply_boundaries(state, *pair)
+        with pytest.raises(ValueError, match="periodic"):
+            step(state, cfg, Grid(0.0, 1.0, 3), *pair, 1e-3, c)
+        with pytest.raises(ValueError, match="periodic"):
+            run(replace(_rest_spec(), bc_left=pair[0], bc_right=pair[1]), cfg, c)
 
 
 def test_cfl_dt_value_and_dry_guard():
@@ -222,6 +232,23 @@ def test_step_raises_on_non_finite():
     with pytest.raises(SWEError, match="cell"):
         step(state, cfg, grid, BoundaryCondition(), BoundaryCondition(),
              1e-3, c)
+
+
+@pytest.mark.parametrize("scheme", ["roe", "gforce-wb", "modified-hr"])
+def test_step_update_l1_is_the_two_row_sums(scheme):
+    """``StepInfo.update_l1`` equals sum |dh| + sum |dq| of the clipped
+    update, taken as two 1-D sums, byte for byte; test 5 clips and dries
+    cells within its first steps."""
+    c = PhysConstants()
+    spec = build_preset(5)
+    cfg = SchemeConfig.from_id(scheme)
+    state = initial_state(spec, c)
+    for _ in range(40):
+        dt = cfl_dt(state, cfg, spec.grid, c)
+        after, info = step(state, cfg, spec.grid, spec.bc_left, spec.bc_right, dt, c)
+        want = np.abs(after.h - state.h).sum() + np.abs(after.q - state.q).sum()
+        assert np.float64(info.update_l1).tobytes() == np.float64(want).tobytes()
+        state = after
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -357,11 +384,16 @@ def _run(spec, scheme, c=PhysConstants()):
     return report
 
 
-def test_run_reaches_steady_on_rest():
-    report = _run(_rest_spec(steady=True), "hr")
-    assert report.steady_reached
-    assert report.metadata["omega_split_form"] == "half"
-    assert report.metadata["scheme"] == "hr"
+@pytest.fixture(scope="module")
+def steady_rest_report():
+    """One steady run of the lake at rest (hr), read by the tests below."""
+    return _run(_rest_spec(steady=True), "hr")
+
+
+def test_run_reaches_steady_on_rest(steady_rest_report):
+    assert steady_rest_report.steady_reached
+    assert steady_rest_report.metadata["omega_split_form"] == "half"
+    assert steady_rest_report.metadata["scheme"] == "hr"
 
 
 def test_run_probes_and_summary():
@@ -389,9 +421,8 @@ def test_registry_has_named_unimplemented_slot():
 
 # -- stop reasons ---------------------------------------------------------
 
-def test_stop_reason_steady():
-    report = _run(_rest_spec(steady=True), "hr")
-    assert report.steady_reached and report.stop_reason == "steady"
+def test_stop_reason_steady(steady_rest_report):
+    assert steady_rest_report.stop_reason == "steady"
 
 
 def test_a_steady_step_that_lands_on_the_final_time_stops_as_steady():
