@@ -13,6 +13,9 @@ bottom configurations.
 Sign convention: the split used here makes S- the source-path integral
 of the left reconstruction segment and S+ that of the right segment,
 which is the orientation forced by the water-at-rest fixed point.
+
+The formulas live in ``swelab.kernel``; these adapters call it on the
+two-cell rows of their interfaces (``fluxes.two_cell_rows``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from swelab import kernel
 from swelab.core import ExtState, PhysConstants, PhysState, velocity
+from swelab.fluxes import two_cell_rows
 from swelab.kernel import GATE_POLICIES, pressure
 from swelab.sources import SourceSplit
 
@@ -60,14 +64,11 @@ class HRCorrections:
     gate_applied: bool | np.ndarray
 
 
-def _arrays(W_l: ExtState, W_r: ExtState):
-    return tuple(np.asarray(a, dtype=float) for a in (W_l.h, W_l.H, W_r.h, W_r.H))
-
-
 def hr_reconstruct(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> HRInterface:
     """One-sided states at H* = min(H_l, H_r) with the donor-cell
     velocities; see ``kernel.hr_depths``."""
-    H_star, (hm, hp), large = kernel.hr_depths(*_arrays(W_l, W_r))
+    (hl, hr), _, (Hl, Hr) = two_cell_rows(W_l, W_r)
+    H_star, (hm, hp), large = kernel.hr_depths(hl, Hl, hr, Hr)
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     return HRInterface(H_star, PhysState(hm, hm * ul), PhysState(hp, hp * ur), large)
 
@@ -77,7 +78,7 @@ def modified_hr_corrections(W_l: ExtState, W_r: ExtState, gate: str,
     """Large-step corrections T+- (``kernel.large_step_corrections``) on the
     reconstruction of the two states (``kernel.hr_depths``), zero outside
     large steps; the gate keeps rest against a dry bank."""
-    hl, Hl, hr, Hr = _arrays(W_l, W_r)
+    (hl, hr), _, (Hl, Hr) = two_cell_rows(W_l, W_r)
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     recon = kernel.hr_depths(hl, Hl, hr, Hr)
     hm, hp = recon[1]
@@ -97,11 +98,8 @@ def hr_interface_terms(W_l: ExtState, W_r: ExtState, cfg, c: PhysConstants,
         raise ValueError(f"source {cfg.source!r} is not a hydrostatic reconstruction")
     if cfg.flux != "roe" and (dx is None or dt is None):
         raise ValueError("omega fluxes need dx and dt")
-    hl, Hl, hr, Hr = _arrays(W_l, W_r)
-    ql, qr = np.asarray(W_l.q, float), np.asarray(W_r.q, float)
-    ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     F, minus, plus = kernel.hydrostatic(
-        hl, ql, ul, Hl, hr, qr, ur, Hr, c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate,
+        two_cell_rows(W_l, W_r), c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate,
         kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt))
-    zero = np.zeros_like(hl + hr)
-    return tuple(F), SourceSplit(minus=(zero, minus), plus=(zero, plus))
+    zero = np.zeros_like(minus[0])
+    return tuple(F[:, 0]), SourceSplit(minus=(zero, minus[0]), plus=(zero, plus[0]))

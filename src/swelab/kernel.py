@@ -1,23 +1,23 @@
 """Interface formulas of every scheme, on plain float arrays.
 
 The one place where the fluxes, source splits and hydrostatic
-reconstruction are written down: ``solver.step`` calls the two scheme
-functions at the bottom, ``upwind`` and ``hydrostatic``, and ``fluxes``,
-``sources`` and ``hydrostatic`` wrap the same formulas as object-level
-functions. The cell formulas (velocity and physical flux) come from
-``swelab.core``.
+reconstruction are written down. The two scheme functions at the
+bottom, ``upwind`` and ``hydrostatic``, are the only entry points: both
+take rows of cells W = (h, q, H), ``solver.step`` its padded (3, n+2)
+row and the adapters in ``fluxes``, ``sources`` and ``hydrostatic``
+their m interfaces as one (3, 2, m) array of two-cell rows. The cell
+formulas (velocity and physical flux) come from ``swelab.core``.
 
 Every flux is one formula, ``interface_flux``, fed with the mean
 physical flux and jump of each interface (``interfaces``) and the
-``dissipation`` of its ``linearisation``. ``upwind`` takes the padded
-rows W = (h, q, H) as one (3, n+2) array and, when every cell is wet,
-makes one cell pass over it (u, sqrt(h), sqrt(h) u and the physical
-flux), sliced for the two sides; ``flux`` takes the side states as one
-(2, 2, m) array, (h, q) by (left, right), and makes one pass over both
-sides. The hydrostatic reconstruction takes the cell velocities the
-same way. The linearisation (the Roe decomposition, or for an omega
-flux c^2 and the entries of J) is built once per interface and shared
-by the flux and its source split.
+``dissipation`` of its ``linearisation``. ``upwind``, when every cell
+is wet, makes one cell pass over its row (u, sqrt(h), sqrt(h) u and
+the physical flux), sliced for the two sides; ``flux`` takes the side
+states as one (2, 2, m) array, (h, q) by (left, right), and makes one
+pass over both sides. ``hydrostatic`` takes the cell velocities once
+per cell of its row. The linearisation (the Roe decomposition, or for
+an omega flux c^2 and the entries of J) is built once per interface and
+shared by the flux and its source split.
 
 Numpy's cost at these sizes is the call, not the arithmetic: a call
 costs 0.35-0.5 us and a reduction 0.8-0.95 us, about what the
@@ -41,13 +41,13 @@ bits as one element at a time.
 
 Interfaces the flux cannot see (dry on both sides, and for the
 hydrostatic reconstruction also two empty or damp reconstructed
-columns) are computed against the dummy wet state (1, 0) and zeroed;
-the upwind schemes raise ``DryInterfaceError`` if every interface is
-dry. Masks and substitutions are skipped where they would change
-nothing. The scheme functions return ``(F, S-, S+)``: F is a pair;
-S- goes to the left cell and S+ to the right one, each a pair for the
-upwind schemes and a momentum row alone for the hydrostatic ones, whose
-sources have no mass part.
+columns) are computed against the dummy wet state (1, 0) and zeroed,
+flux and sources alike, for the step and the adapters; the upwind
+schemes raise ``DryInterfaceError`` if every interface is dry. Masks and
+substitutions are skipped where they would change nothing. The scheme
+functions return ``(F, S-, S+)``: F is a pair; S- goes to the left cell
+and S+ to the right one, each a pair for the upwind schemes and a
+momentum row alone for the hydrostatic ones, which have no mass part.
 """
 
 from __future__ import annotations
@@ -166,19 +166,10 @@ def row_sides(W, g, h_dry):
         L = (h[:-1], ql, ql, f1[:-1], s[:-1], u[:-1])
         R = (h[1:], qr, qr, f1[1:], s[1:], u[1:])
         return (*interfaces(L, R, g), None)
-    S = np.empty((2, 2, len(h) - 1))
+    S = np.empty((2, 2, *h[1:].shape))
     S[:, 0] = W[:2, :-1]
     S[:, 1] = W[:2, 1:]
     return sides(S, g, h_dry)
-
-
-def row_states(W, h_dry):
-    """(h, q, u, H) on the left and on the right of each interface between
-    consecutive cells of the row W = (h, q, H), the ``cell_velocity`` u
-    taken once per cell."""
-    h, q, H = W[0], W[1], W[2]
-    u = cell_velocity(h, q, h_dry)
-    return h[:-1], q[:-1], u[:-1], H[:-1], h[1:], q[1:], u[1:], H[1:]
 
 
 def roe_decomposition(u, c):
@@ -244,10 +235,10 @@ def omega_coefficients(omega, dx, dt):
 
 def omega_weights(flux, cfl, dx, dt):
     """``omega_ab`` of the flux named ``flux``: None for 'roe', else the
-    ``omega_coefficients`` of its rule's omega(CFL)."""
+    ``omega_coefficients`` of its rule's omega(CFL), each a ``_constant``."""
     if flux == "roe":
         return None
-    return omega_coefficients(OMEGA_RULES[flux](cfl), dx, dt)
+    return tuple(map(_constant, omega_coefficients(OMEGA_RULES[flux](cfl), dx, dt)))
 
 
 def dissipation(D, lin, omega_ab=None):
@@ -411,8 +402,6 @@ def upwind(W, g, h_dry, omega_ab=None):
     flux, ``omega_ab = (a, b)``, with its paired source split, over the
     interfaces between consecutive cells of the row W = (h, q, H)."""
     mean, D, (u, c), wet = row_sides(W, g, h_dry)
-    if omega_ab is not None:  # each weight is used several times
-        omega_ab = tuple(_constant(w) for w in omega_ab)
     lin = linearisation(u, c, omega_ab)
     F = interface_flux(mean, dissipation(D, lin, omega_ab))
     del D
@@ -425,14 +414,17 @@ def upwind(W, g, h_dry, omega_ab=None):
     return _masked(wet, F), _masked(wet, minus), _masked(wet, plus)
 
 
-def hydrostatic(hl, ql, ul, Hl, hr, qr, ur, Hr, g, h_dry, modified, gate, omega_ab=None):
+def hydrostatic(W, g, h_dry, modified, gate, omega_ab=None):
     """Hydrostatic reconstruction over the Roe flux, or an omega flux with
-    ``omega_ab = (a, b)``, from the states and cell velocities on both
-    sides (see ``row_states``); ``modified`` adds the large-step corrections.
+    ``omega_ab = (a, b)``, over the interfaces between consecutive cells of
+    the row W = (h, q, H); ``modified`` adds the large-step corrections.
     The flux is zero unless a side is wet and so is a reconstructed column
     (``live``; not, e.g., at rest against a bank), the sources unless a side
     is. The sources are the momentum parts of S- and S+ alone: they have no
     mass part."""
+    h, H = W[0], W[2]
+    u = cell_velocity(h, W[1], h_dry)
+    hl, ul, Hl, hr, ur, Hr = h[:-1], u[:-1], H[:-1], h[1:], u[1:], H[1:]
     S = np.empty((2, 2, *np.shape(hl)))  # the reconstructed columns, see ``sides``
     depths = S[0]
     recon = hr_depths(hl, Hl, hr, Hr, out=depths)

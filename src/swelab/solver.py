@@ -110,6 +110,9 @@ class SchemeConfig:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("CFL must lie in (0, 1]")
         kernel.check_gate(self.gate)
+        entry = SCHEMES.get(self.scheme)  # a registered name means its numerics
+        if entry is not None and (entry["flux"], entry["source"]) != (self.flux, self.source):
+            raise ValueError(f"scheme {self.scheme!r} is not {self.flux} with {self.source}")
 
     @classmethod
     def from_id(cls, scheme_id: str, **kw) -> "SchemeConfig":
@@ -298,15 +301,14 @@ def apply_boundaries(state: SimState, bc_left: BoundaryCondition,
 
 def interface_terms(W: np.ndarray, cfg: SchemeConfig, dx: float, dt: float,
                     c: PhysConstants):
-    """F, S-, S+ over the interfaces of the padded rows W = (h, q, H) (see
-    ``kernel``): F is a (2, m) pair, and so are the sources of the upwind
-    schemes; the hydrostatic sources are momentum rows alone. Dry/dry
-    interfaces carry zeros."""
+    """F, S-, S+ over the interfaces of the padded row W = (h, q, H), which
+    ``kernel``'s two scheme functions both take: F is a (2, m) pair, and so
+    are the sources of the upwind schemes; the hydrostatic sources are
+    momentum rows alone. Dry/dry interfaces carry zeros."""
     omega_ab = kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt)
     if cfg.source == "upwind":
         return kernel.upwind(W, c.g, c.h_dry, omega_ab)
-    return kernel.hydrostatic(*kernel.row_states(W, c.h_dry), c.g, c.h_dry,
-                              cfg.source == "modified-hr", cfg.gate, omega_ab)
+    return kernel.hydrostatic(W, c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate, omega_ab)
 
 
 def step(state: SimState, cfg: SchemeConfig, grid: Grid,
@@ -316,8 +318,11 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
 
     Depths that undershoot zero are clipped (counted as a minor event
     below h_dry, a clip event beyond); cells at or below h_dry carry no
-    momentum. Raises on non-finite values, naming the first bad cell.
+    momentum. Raises on a ``dt`` that is not finite and positive, and on
+    non-finite values, naming the first bad cell.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     W, ghosts = apply_boundaries(state, bc_left, bc_right)
     dx = grid.dx
     F, Sm, Sp = interface_terms(W, cfg, dx, dt, c)

@@ -15,19 +15,22 @@ J* = [[0, 1], [c^2, 0]], which is never singular. The printed
 regularized inverse (1/mu) [[0, 1], [c^2, 2u]] does not tend to J^-1
 away from the sonic point and breaks water at rest too.
 
-The formulas live in ``swelab.kernel``; these are object-level adapters.
+The formulas live in ``swelab.kernel``; these are object-level adapters,
+each one ``kernel.upwind`` call on the two-cell rows of its interfaces,
+so an interface with no wet side carries zero sources, as in the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from swelab import kernel
 from swelab.core import ExtState, PhysConstants
-from swelab.fluxes import roe_average
+from swelab.fluxes import two_cell_rows
 from swelab.kernel import lambda_floor
+
+# An object-level function this module no longer calls, bound for bench/tracer.py.
+from swelab.fluxes import roe_average  # noqa: F401
 
 __all__ = [
     "SourceSplit",
@@ -50,20 +53,16 @@ class SourceSplit:
 def roe_source_split(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> SourceSplit:
     """Characteristic splitting S+- = 1/2 (Id +- |J| J^-1) (0, c^2) dH: all
     downstream when supersonic, eigenvalue signs floored at sonic points."""
-    dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
-    roe = roe_average(W_l.state, W_r.state, c)
-    minus, plus = kernel.roe_source(kernel.roe_decomposition(roe.u, roe.c), dH)
-    return SourceSplit(minus=tuple(minus), plus=tuple(plus))
+    _, minus, plus = kernel.upwind(two_cell_rows(W_l, W_r), c.g, c.h_dry)
+    return SourceSplit(minus=tuple(minus[:, 0]), plus=tuple(plus[:, 0]))
 
 
 def omega_source_split(W_l: ExtState, W_r: ExtState, omega: float, dx: float, dt: float,
                        c: PhysConstants) -> SourceSplit:
     """S+- = 1/2 [(0, c^2 dH) +- ((1-omega) dx/dt (J*)^-1 + omega dt/dx J) (0, c^2 dH)]."""
-    a, b = kernel.omega_coefficients(omega, dx, dt)
-    dH = np.asarray(W_r.H, float) - np.asarray(W_l.H, float)
-    roe = roe_average(W_l.state, W_r.state, c)
-    minus, plus = kernel.omega_source(kernel.jacobian_terms(roe.u, roe.c), dH, a, b)
-    return SourceSplit(minus=tuple(minus), plus=tuple(plus))
+    omega_ab = kernel.omega_coefficients(omega, dx, dt)
+    _, minus, plus = kernel.upwind(two_cell_rows(W_l, W_r), c.g, c.h_dry, omega_ab)
+    return SourceSplit(minus=tuple(minus[:, 0]), plus=tuple(plus[:, 0]))
 
 
 def resolved_split_form() -> str:

@@ -66,7 +66,7 @@ def _verdict(num, name, ok, detail=""):
 
 
 def _lf_hr_config(variant="hr"):
-    return SchemeConfig(scheme=variant, flux="lax-friedrichs",
+    return SchemeConfig(scheme=f"lax-friedrichs-{variant}", flux="lax-friedrichs",
                         source=variant, cfl=0.9)
 
 

@@ -1,10 +1,22 @@
-"""The cell formulas in ``core`` and the kernel's dry-interface handling."""
+"""The cell formulas in ``core``, the kernel's dry-interface handling and
+the object-level adapters that call the kernel."""
 
 import numpy as np
 import pytest
 
 from swelab import core, kernel
-from swelab.core import DryInterfaceError, PhysConstants, PhysState, physical_flux, velocity
+from swelab.core import (
+    DryInterfaceError,
+    ExtState,
+    PhysConstants,
+    PhysState,
+    physical_flux,
+    velocity,
+)
+from swelab.fluxes import omega_flux, roe_flux
+from swelab.hydrostatic import hr_interface_terms
+from swelab.solver import SchemeConfig
+from swelab.sources import omega_source_split, roe_source_split
 
 
 def _states(seed, n=64):
@@ -48,14 +60,51 @@ def test_hydrostatic_zeroes_the_flux_of_a_damp_reconstructed_pair(modified):
     """A wet left cell whose column re-measured from H* is damp, against a
     dry right cell: the flux sees no water, the source keeps the split."""
     c = PhysConstants()
-    hl, ql, Hl = np.array([0.1]), np.array([0.05]), np.array([0.5])
-    hr, qr, Hr = np.zeros(1), np.zeros(1), np.array([0.4 + 5e-9])
-    hm = hl - Hl + Hr
-    assert 0 < hm[0] <= c.h_dry
-    ul, ur = core.cell_velocity(hl, ql, c.h_dry), core.cell_velocity(hr, qr, c.h_dry)
-    F, minus, plus = kernel.hydrostatic(
-        hl, ql, ul, Hl, hr, qr, ur, Hr, c.g, c.h_dry, modified, "dimensional")
+    W = np.array([[0.1, 0.0], [0.05, 0.0], [0.5, 0.4 + 5e-9]])  # (h, q, H) of two cells
+    hl = W[0, 0]
+    hm = hl - W[2, 0] + W[2, 1]
+    assert 0 < hm <= c.h_dry
+    F, minus, plus = kernel.hydrostatic(W, c.g, c.h_dry, modified, "dimensional")
     assert F.tolist() == [[0.0], [0.0]]
     assert minus.shape == plus.shape == (1,)  # momentum rows alone: no mass part
-    assert minus[0] == pytest.approx(0.5 * c.g * (hm[0] ** 2 - hl[0] ** 2), rel=1e-12)
+    assert minus[0] == pytest.approx(0.5 * c.g * (hm ** 2 - hl ** 2), rel=1e-12)
     assert plus.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_adapters_equal_the_kernel(seed):
+    """Every object-level adapter gives the bytes of the kernel's scheme
+    functions on the same row of wet, damp and empty cells, so an interface
+    with no wet side carries zero sources in both."""
+    c = PhysConstants()
+    h, q = _states(seed, 40)
+    H = np.random.default_rng(seed + 100).uniform(-0.5, 0.5, 40)
+    W = np.stack([h, q, H])
+    dry = (h[:-1] <= c.h_dry) & (h[1:] <= c.h_dry)
+    assert dry.any()
+    Wl = ExtState(PhysState(h[:-1], q[:-1]), H[:-1])
+    Wr = ExtState(PhysState(h[1:], q[1:]), H[1:])
+
+    def same(got, want):
+        assert np.stack(got).tobytes() == want.tobytes()
+
+    omega, dx, dt = 0.5, 0.1, 0.01
+    omega_ab = kernel.omega_coefficients(omega, dx, dt)
+    for split, flux, ab in (
+            (roe_source_split(Wl, Wr, c), roe_flux(Wl.state, Wr.state, c), None),
+            (omega_source_split(Wl, Wr, omega, dx, dt, c),
+             omega_flux(Wl.state, Wr.state, omega, dx, dt, c), omega_ab)):
+        F, minus, plus = kernel.upwind(W, c.g, c.h_dry, ab)
+        same(flux, F)
+        same(split.minus, minus)
+        same(split.plus, plus)
+        assert not minus[:, dry].any() and not plus[:, dry].any()
+    for scheme in ("hr", "modified-hr", "force-hr"):
+        cfg = SchemeConfig.from_id(scheme)
+        ab = kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt)
+        F, minus, plus = kernel.hydrostatic(W, c.g, c.h_dry, scheme == "modified-hr",
+                                            cfg.gate, ab)
+        flux, split = hr_interface_terms(Wl, Wr, cfg, c, dx, dt)
+        same(flux, F)
+        same(split.minus[1], minus)
+        same(split.plus[1], plus)

@@ -79,6 +79,14 @@ def test_scheme_config_rejects_bad_input():
         SchemeConfig(scheme="x", flux="roe", source="splitting")
 
 
+@pytest.mark.parametrize("flux,source", [("gforce", "hr"), ("roe", "hr"), ("force", "upwind")])
+def test_scheme_config_rejects_a_registered_name_with_other_numerics(flux, source):
+    """A registered name runs the numerics it names, or the run's metadata
+    would record one scheme for another."""
+    with pytest.raises(ValueError, match="'roe'"):
+        SchemeConfig(scheme="roe", flux=flux, source=source)
+
+
 def test_scheme_config_rejects_unknown_gate():
     """A bad gate fails when the configuration is built, whatever the scheme."""
     for name in ("roe", "modified-hr"):
@@ -234,6 +242,16 @@ def test_step_raises_on_non_finite():
              1e-3, c)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+@pytest.mark.parametrize("scheme", [s for s, e in SCHEMES.items() if e["implemented"]])
+def test_step_rejects_a_dt_that_is_not_finite_and_positive(scheme, dt):
+    c = PhysConstants()
+    spec = _rest_spec()
+    with pytest.raises(ValueError, match="dt"):
+        step(initial_state(spec, c), SchemeConfig.from_id(scheme), spec.grid,
+             spec.bc_left, spec.bc_right, dt, c)
+
+
 @pytest.mark.parametrize("scheme", ["roe", "gforce-wb", "modified-hr"])
 def test_step_update_l1_is_the_two_row_sums(scheme):
     """``StepInfo.update_l1`` equals sum |dh| + sum |dq| of the clipped
@@ -257,7 +275,7 @@ def test_hr_lax_friedrichs_positivity(seed):
     """HR with the omega=0 flux never produces negative depth in one
     CFL-limited step, whatever the (wet/dry) initial data."""
     c = PhysConstants()
-    cfg = SchemeConfig(scheme="hr", flux="lax-friedrichs", source="hr", cfl=0.9)
+    cfg = SchemeConfig(scheme="lax-friedrichs-hr", flux="lax-friedrichs", source="hr", cfl=0.9)
     r = np.random.default_rng(seed)
     n = 30
     grid = Grid(0.0, 1.0, n)
