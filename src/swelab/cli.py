@@ -8,8 +8,9 @@ Sweeps and convergence ladders run one member after another, in order.
 placed before the command line's own: the command line wins, repeatable
 flags collect the file's values first, and each value is checked as a flag.
 
-Exit codes: 0 ok, 1 runtime failure (a missing config file included),
-2 usage error (an unknown config key included).
+Exit codes: 0 ok, 1 runtime failure (a missing config file included,
+and a ``run --until steady`` that stopped short of steady state, after
+writing its files), 2 usage error (an unknown config key included).
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ def cmd_run(args) -> int:
         f"clips={report.clip_events}"
         + (f" {probes}" if probes else "")
     )
+    if args.until == "steady" and not report.steady_reached:
+        print(f"error: the run did not reach steady state: stop_reason={report.stop_reason}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

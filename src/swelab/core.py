@@ -15,7 +15,7 @@ All operations accept scalars or numpy arrays (broadcast elementwise)
 and return numpy values; the oracles ``exact_step_state`` /
 ``exact_smooth_profile`` are scalar root-finding routines. The cell
 formulas ``cell_velocity`` and ``cell_flux`` (``wet_cell_flux`` when
-every cell is wet) take plain float arrays;
+every cell is wet, which ``all_wet`` tells) take plain float arrays;
 ``swelab.kernel`` evaluates every scheme with them.
 """
 
@@ -39,6 +39,7 @@ __all__ = [
     "EntropyValues",
     "cell_velocity",
     "wet_cell_flux",
+    "all_wet",
     "cell_flux",
     "velocity",
     "physical_flux",
@@ -154,20 +155,43 @@ def wet_cell_flux(h: np.ndarray, q: np.ndarray, g: float):
     return u, q, f1
 
 
-def cell_flux(h: np.ndarray, q: np.ndarray, g: float, h_dry: float):
-    """``cell_velocity`` and the exact flux (q, q u + g h^2/2), the flux
-    dividing by h down to zero depth; the empty cell has flux (0, 0)."""
-    if (h > h_dry).all():
+def all_wet(h: np.ndarray, h_dry: float) -> bool:
+    """``h.min() > h_dry``, read at the argmin: at a few hundred cells the
+    reduction's call costs 1 us, the argmin 0.3 us (a NaN is the argmin)."""
+    return h.item(h.argmin()) > h_dry
+
+
+def cell_flux(h: np.ndarray, q: np.ndarray, g: float, h_dry: float, dry=None):
+    """``cell_velocity`` and the exact flux (q, q u + g h^2/2) of cells of any
+    shape, each an array of that shape.
+
+    The wet formula (``wet_cell_flux``) runs over every cell, the dry ones
+    (at or below ``h_dry``; ``dry`` lists their flat indices when the caller
+    has them) holding the dummy wet state (1, 0). Each dry cell then takes
+    the dry formula, one at a time: u = 0, and a flux that divides by h down
+    to zero depth, the empty cell's being (0, 0).
+    """
+    if dry is None:
+        if all_wet(h, h_dry):
+            return wet_cell_flux(h, q, g)
+        dry = (h <= h_dry).ravel().nonzero()[0].tolist()
+    if not dry:
         return wet_cell_flux(h, q, g)
-    if (h < 0).any():
-        raise ValueError("negative water thickness")
-    full = h > 0
-    u_flux = np.where(full, q / np.maximum(h, 1e-300), 0.0)
-    f1 = q * u_flux
-    p = 0.5 * g * h
-    p *= h
-    f1 += p
-    return cell_velocity(h, q, h_dry), q * full, f1
+    if q.shape != h.shape:  # one discharge for many cells, say
+        h, q = np.broadcast_arrays(h, q)
+    hw, qw = h.copy(), q.copy()
+    cells = [(k, hw.item(k), qw.item(k)) for k in dry]
+    for k, hk, _ in cells:
+        if hk < 0:
+            raise ValueError("negative water thickness")
+        hw.flat[k], qw.flat[k] = 1.0, 0.0
+    u, f0, f1 = map(np.asarray, wet_cell_flux(hw, qw, g))  # a 0-d cell gives numpy scalars
+    for k, hk, qk in cells:
+        full = hk > 0
+        u.flat[k] = 0.0
+        f0.flat[k] = qk * full
+        f1.flat[k] = qk * (qk / max(hk, 1e-300) if full else 0.0) + 0.5 * g * hk * hk
+    return u, f0, f1
 
 
 def velocity(w: PhysState, c: PhysConstants):

@@ -78,13 +78,13 @@ def modified_hr_corrections(W_l: ExtState, W_r: ExtState, gate: str,
     """Large-step corrections T+- (``kernel.large_step_corrections``) on the
     reconstruction of the two states (``kernel.hr_depths``), zero outside
     large steps; the gate keeps rest against a dry bank."""
-    (hl, hr), _, (Hl, Hr) = two_cell_rows(W_l, W_r)
+    h, _, H = two_cell_rows(W_l, W_r)  # the kernel's rows: one interface per column
+    hl, Hl, hr, Hr = h[:-1], H[:-1], h[1:], H[1:]
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
     recon = kernel.hr_depths(hl, Hl, hr, Hr)
-    hm, hp = recon[1]
-    split = kernel.hr_source(hl, hr, hm, hp, c.g)
-    return HRCorrections(*kernel.large_step_corrections(
-        hl, ul, Hl, hr, ur, Hr, recon, split, c.g, c.h_dry, gate))
+    T, gated = kernel.large_step_corrections(
+        hl, ul, Hl, hr, ur, Hr, recon, kernel.hr_source(h, recon[1], c.g), c.g, c.h_dry, gate)
+    return HRCorrections(T[0, 0], T[1, 0], gated[0])
 
 
 def hr_interface_terms(W_l: ExtState, W_r: ExtState, cfg, c: PhysConstants,

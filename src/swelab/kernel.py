@@ -39,22 +39,31 @@ floating-point operations in the order of the formulas as written, so
 the row pass, the per-side pass and the stacked pairs give the same
 bits as one element at a time.
 
-Interfaces the flux cannot see (dry on both sides, and for the
-hydrostatic reconstruction also two empty or damp reconstructed
-columns) are computed against the dummy wet state (1, 0) and zeroed,
-flux and sources alike, for the step and the adapters; the upwind
-schemes raise ``DryInterfaceError`` if every interface is dry. Masks and
-substitutions are skipped where they would change nothing. The scheme
-functions return ``(F, S-, S+)``: F is a pair; S- goes to the left cell
-and S+ to the right one, each a pair for the upwind schemes and a
-momentum row alone for the hydrostatic ones, which have no mass part.
+Dryness is decided once and passed down. ``hydrostatic`` tests its row
+of cells once (``core.all_wet``); when every cell is wet, the velocity
+is q/h, the sources take no mask and ``large_step_corrections`` no
+emerging-bottom test. ``wet_pairs`` tests the side states once; when
+every side is wet, every interface is live and the flux takes no mask.
+Otherwise it lists the dry sides by flat index. Interfaces the flux
+cannot see (dry on both sides, and for the hydrostatic reconstruction
+also two empty or damp reconstructed columns, or no wet cell beside
+them) are computed against the dummy wet state (1, 0) and zeroed, flux
+and sources alike, for the step and the adapters; the upwind schemes
+raise ``DryInterfaceError`` if every interface is dry. The dry sides of
+live interfaces, wet/dry fronts and truncated columns, one or two per
+row, go to ``core.cell_flux``, the one place the dry cell formula is
+written: it runs the wet formula over every side, those holding the
+dummy, and overwrites them one at a time. The scheme functions return
+``(F, S-, S+)``: F is a pair; S- goes to the left cell and S+ to the
+right one, each a pair for the upwind schemes and a momentum row alone
+for the hydrostatic ones, which have no mass part.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from swelab.core import DryInterfaceError, cell_flux, cell_velocity, wet_cell_flux
+from swelab.core import DryInterfaceError, all_wet, cell_flux, cell_velocity, wet_cell_flux
 
 GATE_POLICIES = ("dimensional", "as-printed")
 
@@ -91,20 +100,39 @@ def _constant(x):
 _HALF, _ONE, _EPS = _constant(0.5), _constant(1.0), _constant(1e-8)
 
 
-def wet_pairs(S, h_dry, live=None):
-    """The side states ``S`` with the dummy wet state (1, 0) on both sides of
-    the interfaces that are not ``live``, and the mask (None, ``S``
-    unchanged, when all are). ``live`` defaults to the interfaces with a wet
-    side, and one is needed."""
-    if live is None:
-        wet = S[0] > h_dry
-        live = wet[0] | wet[1]
-        if not live.any():
+def wet_pairs(S, h_dry, wet=None):
+    """The side states ``S``, (h, q) by (left, right), with the dummy wet
+    state (1, 0) on both sides of the interfaces that are not live; the mask
+    of the live ones (None when all are); and the flat indices in ``S[0]`` of
+    the dry sides left, those of live interfaces (see ``cell_flux``).
+
+    An interface is live where a side is wet. Without ``wet`` the sides are
+    cells, and one interface must be live. The hydrostatic reconstruction,
+    whose sides are its columns, passes ``wet``: True when every cell is
+    wet, else the mask of the interfaces beside a wet cell, which a live
+    interface needs too."""
+    h = S[0]
+    no_mask = wet is None or wet is True
+    if no_mask and all_wet(h, h_dry):
+        return S, None, []
+    d = h <= h_dry
+    dry = d.ravel().nonzero()[0].tolist()
+    # an interface is dead where its left and its right side are dry (or no
+    # wet cell is beside it), so only if there are dry sides on both
+    if no_mask and not (dry and dry[0] < d.size // 2 <= dry[-1]):
+        return S, None, dry
+    dead = d[0] & d[1]
+    if wet is None:
+        if dead.all():
             raise DryInterfaceError("dry interface")
-    if live.all():
-        return S, None
+    elif wet is not True:
+        dead |= ~wet
+    if not dead.any():
+        return S, None, dry
+    live = ~dead
+    d &= live
     dummy = np.reshape((1.0, 0.0), (2,) + (1,) * (S.ndim - 1))
-    return np.where(live, S, dummy), live
+    return np.where(live, S, dummy), live, d.ravel().nonzero()[0].tolist()
 
 
 def _masked(wet, a):
@@ -140,17 +168,18 @@ def interfaces(L, R, g):
     return mean, D, (u, np.sqrt(c))
 
 
-def sides(S, g, h_dry, live=None):
+def sides(S, g, h_dry, wet=None):
     """The ``interfaces`` of the side states ``S``, (h, q) by (left, right),
-    dummy where not ``live`` (see ``wet_pairs``), and the mask; one cell
-    pass covers both sides."""
-    S, wet = wet_pairs(S, h_dry, live)
+    dummy where not live (see ``wet_pairs``), and the mask of the live ones;
+    one cell pass covers both sides. A dry side's u, and so its sqrt(h) u,
+    is zero."""
+    S, live, dry = wet_pairs(S, h_dry, wet)
     h, q = S[0], S[1]
-    u, f0, f1 = cell_flux(h, q, g, h_dry)
+    u, f0, f1 = cell_flux(h, q, g, h_dry, dry)
     s = np.sqrt(h)
     u *= s
     cells = (h, q, f0, f1, s, u)
-    return (*interfaces([a[0] for a in cells], [a[1] for a in cells], g), wet)
+    return (*interfaces([a[0] for a in cells], [a[1] for a in cells], g), live)
 
 
 def row_sides(W, g, h_dry):
@@ -158,7 +187,7 @@ def row_sides(W, g, h_dry):
     W = (h, q, ...); when every cell is wet, one cell pass sliced for both
     sides and no mask."""
     h, q = W[0], W[1]
-    if h.min() > h_dry:
+    if all_wet(h, h_dry):
         u, _, f1 = wet_cell_flux(h, q, g)
         s = np.sqrt(h)
         u *= s
@@ -276,13 +305,13 @@ def interface_flux(mean, v):
     return mean
 
 
-def flux(S, g, h_dry, omega_ab=None, live=None):
+def flux(S, g, h_dry, omega_ab=None, wet=None):
     """Roe flux, or an omega flux with ``omega_ab = (a, b)``, of the side
-    states ``S`` (see ``sides``), as one pair, zero off ``live`` (see
+    states ``S`` (see ``sides``), as one pair, zero where not live (see
     ``wet_pairs``)."""
-    mean, D, (u, c), wet = sides(S, g, h_dry, live)
+    mean, D, (u, c), live = sides(S, g, h_dry, wet)
     v = dissipation(D, linearisation(u, c, omega_ab), omega_ab)
-    return _masked(wet, interface_flux(mean, v))
+    return _masked(live, interface_flux(mean, v))
 
 
 def _split(c2, dH, up):
@@ -354,9 +383,14 @@ def hr_depths(hl, Hl, hr, Hr, out=None):
     return H_star, np.maximum(e, 0.0, out=e), truncated[0] | truncated[1]
 
 
-def hr_source(hl, hr, hm, hp, g):
-    """Momentum parts p(h-) - p(h_l) of S- and p(h_r) - p(h+) of S+."""
-    return pressure(hm, g) - pressure(hl, g), pressure(hr, g) - pressure(hp, g)
+def hr_source(h, depths, g):
+    """Momentum parts p(h-) - p(h_l) of S- and p(h_r) - p(h+) of S+, as one
+    pair, at the interfaces between consecutive cells of the row ``h``, from
+    their reconstructed ``depths`` (h-, h+) (see ``hr_depths``)."""
+    p, split = pressure(h, g), pressure(depths, g)
+    split[0, ...] -= p[:-1]
+    np.subtract(p[1:], split[1, ...], split[1, ...])
+    return split
 
 
 def gate_threshold(h, u, g, policy):
@@ -370,31 +404,40 @@ def gate_threshold(h, u, g, policy):
     return 1.5 * np.sqrt(np.maximum(ghu, 0.0) ** 3)
 
 
-def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate):
-    """T-, T+ of the modified reconstruction and the gate flags, from the
-    outputs ``recon`` of ``hr_depths`` and ``split`` of ``hr_source``.
+def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate,
+                           all_cells_wet=False):
+    """(T-, T+) of the modified reconstruction, as one pair, and the gate
+    flags, from the outputs ``recon`` of ``hr_depths`` and ``split`` of
+    ``hr_source``.
 
     T turns a side's source into the straight-segment integral over the
     full step. At an emerging bottom (one side dry below the opposite
-    bottom level) it applies only if the energy gate lets the fluid climb.
+    bottom level) it applies only if the energy gate lets the fluid climb;
+    a caller that knows every cell is wet says so (``all_cells_wet``), and
+    no bottom emerges.
     """
     check_gate(gate)
     H_star, depths, large = recon
-    hm, hp = depths[0], depths[1]
-    dry_l, dry_r = hl <= h_dry, hr <= h_dry
     apply, gated = large, np.zeros_like(large)
-    if dry_l.any() or dry_r.any():
-        emerging_r = dry_r & (hl - Hl + Hr < 0)
-        emerging_l = dry_l & (hr - Hr + Hl < 0)
+    if not all_cells_wet:
+        emerging_r = (hr <= h_dry) & (hl - Hl + Hr < 0)
+        emerging_l = (hl <= h_dry) & (hr - Hr + Hl < 0)
         gate_r = emerging_r & (ul > 0) & (
             0.5 * ul * ul + g * (hl - Hl + Hr) > gate_threshold(hl, ul, g, gate))
         gate_l = emerging_l & (ur < 0) & (
             0.5 * ur * ur + g * (hr - Hr + Hl) > gate_threshold(hr, -ur, g, gate))
         gated = gate_r | gate_l
         apply = large & (~(emerging_r | emerging_l) | gated)
-    t_minus = g * 0.5 * (hl + hm) * (H_star - Hl) - split[0]
-    t_plus = g * 0.5 * (hr + hp) * (Hr - H_star) - split[1]
-    return np.where(apply, t_minus, 0.0), np.where(apply, t_plus, 0.0), gated
+    # T- = g/2 (h_l + h-) (H* - H_l) - S-, T+ = g/2 (h_r + h+) (H_r - H*) - S+
+    T, dH = np.empty_like(depths), np.empty_like(depths)
+    np.add(hl, depths[0, ...], T[0, ...])
+    np.add(hr, depths[1, ...], T[1, ...])
+    T *= g * 0.5
+    np.subtract(H_star, Hl, dH[0, ...])
+    np.subtract(Hr, H_star, dH[1, ...])
+    T *= dH
+    T -= split
+    return np.where(apply, T, 0.0), gated
 
 
 def upwind(W, g, h_dry, omega_ab=None):
@@ -419,29 +462,26 @@ def hydrostatic(W, g, h_dry, modified, gate, omega_ab=None):
     ``omega_ab = (a, b)``, over the interfaces between consecutive cells of
     the row W = (h, q, H); ``modified`` adds the large-step corrections.
     The flux is zero unless a side is wet and so is a reconstructed column
-    (``live``; not, e.g., at rest against a bank), the sources unless a side
-    is. The sources are the momentum parts of S- and S+ alone: they have no
-    mass part."""
-    h, H = W[0], W[2]
-    u = cell_velocity(h, W[1], h_dry)
+    (not, e.g., at rest against a bank; see ``wet_pairs``), the sources
+    unless a side is. The sources are the momentum parts of S- and S+ alone:
+    they have no mass part. Whether every cell is wet is decided once."""
+    h, q, H = W[0], W[1], W[2]
+    if all_wet(h, h_dry):
+        wet, u = True, q / h
+    else:
+        wet, u = (h[:-1] > h_dry) | (h[1:] > h_dry), cell_velocity(h, q, h_dry)
     hl, ul, Hl, hr, ur, Hr = h[:-1], u[:-1], H[:-1], h[1:], u[1:], H[1:]
     S = np.empty((2, 2, *np.shape(hl)))  # the reconstructed columns, see ``sides``
     depths = S[0]
     recon = hr_depths(hl, Hl, hr, Hr, out=depths)
-    hm, hp = depths[0], depths[1]
-    large = recon[2]
-    minus, plus = split = hr_source(hl, hr, hm, hp, g)
-    if modified and large.any():
-        t_minus, t_plus, _ = large_step_corrections(
-            hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate)
-        minus, plus = minus + t_minus, plus + t_plus
-    del recon, split
-    wet = (hl > h_dry) | (hr > h_dry)
-    column_wet = depths > h_dry
-    live = wet & (column_wet[0] | column_wet[1])
-    np.multiply(hm, ul, out=S[1, 0, ...])
-    np.multiply(hp, ur, out=S[1, 1, ...])
-    F = flux(S, g, h_dry, omega_ab, live)
-    if wet.all():
-        wet = None
-    return F, _masked(wet, minus), _masked(wet, plus)
+    sources = hr_source(h, depths, g)
+    if modified and recon[2].any():
+        sources += large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, sources, g, h_dry,
+                                          gate, all_cells_wet=wet is True)[0]
+    del recon
+    np.multiply(depths[0], ul, out=S[1, 0, ...])
+    np.multiply(depths[1], ur, out=S[1, 1, ...])
+    F = flux(S, g, h_dry, omega_ab, wet)
+    if wet is not True:
+        sources = _masked(wet, sources)
+    return F, sources[0], sources[1]

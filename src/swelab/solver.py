@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from swelab import kernel
-from swelab.core import DryStateError, PhysConstants, SWEError
+from swelab.core import DryStateError, PhysConstants, SWEError, all_wet
 from swelab.sources import resolved_split_form
 
 # Object-level functions the step no longer calls, bound for bench/tracer.py.
@@ -263,7 +263,7 @@ class RunReport:
 def cfl_dt(state: SimState, cfg: SchemeConfig, grid: Grid, c: PhysConstants) -> float:
     """dt = CFL dx / max over wet cells of (|u| + sqrt(g h))."""
     h, q = state.h, state.q
-    if not h.min() > c.h_dry:
+    if not all_wet(h, c.h_dry):
         wet = h > c.h_dry
         if not wet.any():
             raise DryStateError("all cells dry, no wave speed")
@@ -295,7 +295,7 @@ def apply_boundaries(state: SimState, bc_left: BoundaryCondition,
     W[0, 1:-1] = state.h
     W[1, 1:-1] = state.q
     W[2, 1:-1] = state.H
-    W[:, 0], W[:, -1] = ghosts
+    (W[0, 0], W[1, 0], W[2, 0]), (W[0, -1], W[1, -1], W[2, -1]) = ghosts  # scalar stores
     return W, ghosts
 
 

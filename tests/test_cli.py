@@ -242,11 +242,30 @@ def test_run_prints_why_it_stopped(tmp_path, capsys):
     """force-wb on test 5 is still unsteady at the 2.5 s backstop."""
     rc = cli.main(["run", "--test", "5", "--scheme", "force-wb", "--cells", "50",
                    "--until", "steady", "--out", str(tmp_path)])
-    assert rc == 0
+    assert rc == 1  # asked for steady state, stopped at the backstop
     out = capsys.readouterr().out
     assert "steady=False stop=max_time " in out
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert "stop_reason" not in summary["metadata"]
+
+
+def test_run_until_steady_exits_1_when_the_run_is_not_steady(tmp_path, capsys):
+    """force-wb clips on every step of test 3 and never settles: the run
+    writes both files, names its stop reason and exits 1. A run that does
+    reach steady state, and one with a fixed stop time, exit 0."""
+    rc = cli.main(["run", "--test", "3", "--scheme", "force-wb", "--cells", "20",
+                   "--until", "steady", "--out", str(tmp_path / "unsteady")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert "steady=False stop=max_time " in out
+    assert err.count("\n") == 1 and "stop_reason=max_time" in err
+    summary = json.loads((tmp_path / "unsteady" / "summary.json").read_text())
+    assert summary["metadata"]["steady_reached"] is False
+    assert (tmp_path / "unsteady" / "snapshot_final.csv").is_file()
+    for until, out in (("steady", "steady"), ("time=0.5", "timed")):
+        assert cli.main(["run", "--test", "1", "--scheme", "hr", "--cells", "20",
+                         "--until", until, "--out", str(tmp_path / out)]) == 0
+    assert "stop=steady " in capsys.readouterr().out
 
 
 def test_config_file_fills_defaults(tmp_path):

@@ -70,7 +70,7 @@ def test_hr_source_is_segmentwise_path_integral(pair):
     if np.any(iface.large_step):
         return  # clipped interfaces are covered by the correction tests
     hm, hp = iface.w_minus.h, iface.w_plus.h
-    minus, plus = kernel.hr_source(Wl.h, Wr.h, hm, hp, c.g)
+    minus, plus = kernel.hr_source(np.array([Wl.h, Wr.h]), np.reshape([hm, hp], (2, 1)), c.g)[:, 0]
     seg_l = c.g * 0.5 * (Wl.h + hm) * (iface.H_star - Wl.H)
     seg_r = c.g * 0.5 * (Wr.h + hp) * (Wr.H - iface.H_star)
     scale = max(1.0, abs(seg_l), abs(seg_r))
@@ -103,7 +103,7 @@ def test_wet_wet_large_step_restores_full_integral(c):
     assert bool(iface.large_step)
     corr = modified_hr_corrections(Wl, Wr, "dimensional", c)
     hm, hp = iface.w_minus.h, iface.w_plus.h
-    minus, plus = kernel.hr_source(Wl.h, Wr.h, hm, hp, c.g)
+    minus, plus = kernel.hr_source(np.array([Wl.h, Wr.h]), np.reshape([hm, hp], (2, 1)), c.g)[:, 0]
     total_minus = minus + corr.T_minus
     assert total_minus == pytest.approx(
         c.g * 0.5 * (Wl.h + hm) * (iface.H_star - Wl.H), rel=1e-12

@@ -30,21 +30,38 @@ def _states(seed, n=64):
 @pytest.mark.parametrize("seed", range(5))
 def test_cell_quantities_match_core_bitwise(seed):
     """``core``'s cell formulas, array and object-level, equal the formulas
-    written out here bit for bit; the kernel evaluates the same functions."""
+    written out here byte for byte, signed zeros included; the kernel
+    evaluates the same functions. The inputs reach the dry cells' index path
+    with many dry cells, exactly one and exactly two (an empty cell with
+    q = -0.0, a damp one with q != 0), as 0-d cells, as a (2, m) array of
+    side states and with one discharge for every cell."""
     assert kernel.cell_velocity is core.cell_velocity and kernel.cell_flux is core.cell_flux
     c = PhysConstants()
     h, q = _states(seed)
-    for hh, qq in ((h, q), (h + 1.0, q)):  # with and without dry cells
+    one_dry, q_signed = h + 1.0, q.copy()
+    one_dry[seed], q_signed[seed] = 0.0, -0.0
+    two_dry = one_dry.copy()
+    two_dry[-1 - seed] = 0.5e-8
+    cases = [(h, q), (h + 1.0, q), (one_dry, q_signed), (two_dry, q_signed),
+             (two_dry.reshape(2, -1), q.reshape(2, -1)), (h.reshape(2, -1), q.reshape(2, -1)),
+             (h, np.array(-0.25))]
+    cases += [(np.array(hh), np.array(qq)) for hh, qq in
+              ((0.0, -0.0), (0.0, -0.4), (0.5e-8, 0.3), (0.3, -0.2))]
+
+    def same(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    for hh, qq in cases:
         wet, full = hh > c.h_dry, hh > 0
         u = np.where(wet, qq / np.where(wet, hh, 1.0), 0.0)
         u_flux = np.where(full, qq / np.where(full, hh, 1.0), 0.0)
-        f0, f1 = np.where(full, qq, 0.0), qq * u_flux + 0.5 * c.g * hh * hh
-        np.testing.assert_array_equal(core.cell_velocity(hh, qq, c.h_dry), u)
-        np.testing.assert_array_equal(np.stack(core.cell_flux(hh, qq, c.g, c.h_dry)),
-                                      np.stack([u, f0, f1]))
+        f0, f1 = qq * full, qq * u_flux + 0.5 * c.g * hh * hh
+        same(core.cell_velocity(hh, qq, c.h_dry), u)
+        same(np.stack(core.cell_flux(hh, qq, c.g, c.h_dry)), np.stack([u, f0, f1]))
         w = PhysState(hh, qq)
-        np.testing.assert_array_equal(velocity(w, c), u)
-        np.testing.assert_array_equal(np.stack(physical_flux(w, c)), np.stack([f0, f1]))
+        same(velocity(w, c), u)
+        same(np.stack(physical_flux(w, c)), np.stack([f0, f1]))
 
 
 def test_negative_depth_and_all_dry_raise():

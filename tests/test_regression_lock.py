@@ -31,6 +31,7 @@ import pytest
 import swelab.cli as cli
 from swelab.core import ExtState, PhysConstants, PhysState
 from swelab.hydrostatic import GATE_POLICIES, modified_hr_corrections
+from swelab.kernel import hr_depths
 from swelab.presets import DEFAULT_CELLS, build_preset
 from swelab.solver import (
     SCHEMES,
@@ -39,6 +40,7 @@ from swelab.solver import (
     SchemeConfig,
     SimState,
     StopRule,
+    apply_boundaries,
     cfl_dt,
     run,
     step,
@@ -291,6 +293,19 @@ def test_one_step_cases_reach_their_branches(step_reference):
         assert ref[f"{name}/force-wb/info"][0] > 0, name
     kinds = {bc.kind for bc_l, bc_r, _ in STEP_CASES.values() for bc in (bc_l, bc_r)}
     assert kinds == {"open", "discharge", "depth", "both", "periodic"}
+
+    def empty_columns(name):
+        """The empty reconstructed sides of the step's padded row under hr,
+        None unless every cell of the row is wet."""
+        bc_l, bc_r, _ = STEP_CASES[name]
+        state = SimState(0.0, *(ref[f"{name}/{k}"] for k in ("h0", "q0", "H0")))
+        (h, _, H), _ = apply_boundaries(state, bc_l, bc_r)
+        if not h.min() > C.h_dry:
+            return None
+        return int(np.count_nonzero(hr_depths(h[:-1], H[:-1], h[1:], H[1:])[1] == 0.0))
+
+    # the hydrostatic step's dry columns by index: every cell wet, a few empty sides
+    assert any(1 <= (empty_columns(name) or 0) <= 4 for name in STEP_CASES)
 
 
 def regenerate_one_step():

@@ -32,7 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # (scheme, preset): the upwind schemes on the ramp of test 6, the
 # hydrostatic ones on the step of test 3
 CASES = [("roe", 6), ("gforce-wb", 6), ("force-wb", 6), ("hr", 3), ("modified-hr", 3)]
-CELLS = (200, 3200, 12800)
+# grids per preset; test 3 adds the benchmark's step-plateau grid of 50
+# cells, whose reconstruction has an empty column from the first step
+CELLS = {6: (200, 3200, 12800), 3: (50, 200, 3200, 12800)}
 
 
 def n_steps(cells: int) -> int:
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
     if args.parent is None:
         ap.error("--parent is required")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    cases = [f"{scheme}/{cells}" for scheme, _ in CASES for cells in CELLS]
+    cases = [f"{scheme}/{cells}" for scheme, test in CASES for cells in CELLS[test]]
     runs = {"parent": {c: [] for c in cases}, "change": {c: [] for c in cases}}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
