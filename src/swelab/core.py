@@ -145,11 +145,11 @@ def cell_velocity(h: np.ndarray, q: np.ndarray, h_dry: float) -> np.ndarray:
     return np.where(wet, q / np.maximum(h, h_dry), 0.0)
 
 
-def wet_cell_flux(h: np.ndarray, q: np.ndarray, g: float):
-    """``cell_flux`` of cells that are all wet: u = q/h and (q, q u + g h^2/2)."""
+def wet_cell_flux(h: np.ndarray, q: np.ndarray, half_g):
+    """``cell_flux`` of wet cells: u = q/h and (q, q u + half_g h^2), half_g = g/2."""
     u = q / h
     f1 = q * u
-    p = 0.5 * g * h
+    p = half_g * h
     p *= h
     f1 += p
     return u, q, f1
@@ -161,9 +161,9 @@ def all_wet(h: np.ndarray, h_dry: float) -> bool:
     return h.item(h.argmin()) > h_dry
 
 
-def cell_flux(h: np.ndarray, q: np.ndarray, g: float, h_dry: float, dry=None):
+def cell_flux(h: np.ndarray, q: np.ndarray, half_g, h_dry: float, dry=None):
     """``cell_velocity`` and the exact flux (q, q u + g h^2/2) of cells of any
-    shape, each an array of that shape.
+    shape, each an array of that shape, from ``half_g`` = g/2.
 
     The wet formula (``wet_cell_flux``) runs over every cell, the dry ones
     (at or below ``h_dry``; ``dry`` lists their flat indices when the caller
@@ -173,24 +173,27 @@ def cell_flux(h: np.ndarray, q: np.ndarray, g: float, h_dry: float, dry=None):
     """
     if dry is None:
         if all_wet(h, h_dry):
-            return wet_cell_flux(h, q, g)
+            return wet_cell_flux(h, q, half_g)
         dry = (h <= h_dry).ravel().nonzero()[0].tolist()
     if not dry:
-        return wet_cell_flux(h, q, g)
+        return wet_cell_flux(h, q, half_g)
     if q.shape != h.shape:  # one discharge for many cells, say
         h, q = np.broadcast_arrays(h, q)
     hw, qw = h.copy(), q.copy()
-    cells = [(k, hw.item(k), qw.item(k)) for k in dry]
+    flat_h, flat_q = hw.ravel(), qw.ravel()  # views: a 1-d store is the cheapest
+    cells = [(k, flat_h.item(k), flat_q.item(k)) for k in dry]
     for k, hk, _ in cells:
         if hk < 0:
             raise ValueError("negative water thickness")
-        hw.flat[k], qw.flat[k] = 1.0, 0.0
-    u, f0, f1 = map(np.asarray, wet_cell_flux(hw, qw, g))  # a 0-d cell gives numpy scalars
+        flat_h[k], flat_q[k] = 1.0, 0.0
+    u, f0, f1 = map(np.asarray, wet_cell_flux(hw, qw, half_g))  # a 0-d cell gives numpy scalars
+    flat_u, flat_f1 = u.ravel(), f1.ravel()  # and f0 is qw
+    half_g = float(half_g)  # a 0-d array operand would make each scalar product a ufunc call
     for k, hk, qk in cells:
         full = hk > 0
-        u.flat[k] = 0.0
-        f0.flat[k] = qk * full
-        f1.flat[k] = qk * (qk / max(hk, 1e-300) if full else 0.0) + 0.5 * g * hk * hk
+        flat_u[k] = 0.0
+        flat_q[k] = qk * full
+        flat_f1[k] = qk * (qk / max(hk, 1e-300) if full else 0.0) + half_g * hk * hk
     return u, f0, f1
 
 
@@ -201,7 +204,7 @@ def velocity(w: PhysState, c: PhysConstants):
 
 def physical_flux(w: PhysState, c: PhysConstants):
     """Exact flux (q, q^2/h + g h^2 / 2) (``cell_flux``), never aliasing ``w.q``."""
-    return cell_flux(np.asarray(w.h, float), np.array(w.q, float), c.g, c.h_dry)[1:]
+    return cell_flux(np.asarray(w.h, float), np.array(w.q, float), 0.5 * c.g, c.h_dry)[1:]
 
 
 def eigenvalues(w: PhysState, c: PhysConstants):

@@ -115,12 +115,12 @@ def entropy_interface_check(hl, ql, Hl, hr, qr, Hr, F, c: PhysConstants, T_minus
     um, up = cell_velocity(hm, hm * ul, c.h_dry), cell_velocity(hp, hp * ur, c.h_dry)
     E_l = (
         Fh * (g * (hl - hm - Hl + Hs) + 0.5 * um * um - 0.5 * ul * ul)
-        + (ul - um) * (Fq - pressure(hm, g))
+        + (ul - um) * (Fq - pressure(hm, 0.5 * g))
         - ul * np.asarray(T_minus, float)
     )
     E_r = (
         Fh * (g * (hr - hp - Hr + Hs) + 0.5 * up * up - 0.5 * ur * ur)
-        + (ur - up) * (Fq - pressure(hp, g))
+        + (ur - up) * (Fq - pressure(hp, 0.5 * g))
         + ur * np.asarray(T_plus, float)
     )
     return EntropyCheck(E_l=E_l, E_r=E_r, H_star_used=Hs + np.zeros_like(E_l),

@@ -52,16 +52,16 @@ def two_cell_rows(w_l, w_r) -> np.ndarray:
 
 def roe_average(w_l: PhysState, w_r: PhysState, c: PhysConstants) -> RoeData:
     """Roe linearization of the interface (``kernel.interfaces``)."""
-    return RoeData(*kernel.sides(two_cell_rows(w_l, w_r)[:2], c.g, c.h_dry)[2])
+    return RoeData(*kernel.sides(two_cell_rows(w_l, w_r)[:2], kernel.Constants(c))[2])
 
 
 def roe_flux(w_l: PhysState, w_r: PhysState, c: PhysConstants):
     """Roe flux 1/2 (F_l + F_r) - 1/2 |J| (w_r - w_l)."""
-    return tuple(kernel.flux(two_cell_rows(w_l, w_r)[:2], c.g, c.h_dry))
+    return tuple(kernel.flux(two_cell_rows(w_l, w_r)[:2], kernel.Constants(c)))
 
 
 def omega_flux(w_l: PhysState, w_r: PhysState, omega: float, dx: float, dt: float,
                c: PhysConstants):
     """1/2 (F_l + F_r) - 1/2 [(1-omega) dx/dt Id + omega dt/dx J^2] (w_r - w_l)."""
     omega_ab = kernel.omega_coefficients(omega, dx, dt)
-    return tuple(kernel.flux(two_cell_rows(w_l, w_r)[:2], c.g, c.h_dry, omega_ab))
+    return tuple(kernel.flux(two_cell_rows(w_l, w_r)[:2], kernel.Constants(c), omega_ab))

@@ -79,11 +79,12 @@ def modified_hr_corrections(W_l: ExtState, W_r: ExtState, gate: str,
     reconstruction of the two states (``kernel.hr_depths``), zero outside
     large steps; the gate keeps rest against a dry bank."""
     h, _, H = two_cell_rows(W_l, W_r)  # the kernel's rows: one interface per column
-    hl, Hl, hr, Hr = h[:-1], H[:-1], h[1:], H[1:]
+    hl, hr = h[:-1], h[1:]
     ul, ur = velocity(W_l.state, c), velocity(W_r.state, c)
-    recon = kernel.hr_depths(hl, Hl, hr, Hr)
+    Hl, Hr, _, dH = kernel.hydrostatic_bottom(H, True)
+    recon, k = kernel.hr_depths(hl, Hl, hr, Hr), kernel.Constants(c)
     T, gated = kernel.large_step_corrections(
-        hl, ul, Hl, hr, ur, Hr, recon, kernel.hr_source(h, recon[1], c.g), c.g, c.h_dry, gate)
+        hl, ul, Hl, hr, ur, Hr, recon, kernel.hr_source(h, recon[1], k), dH, k, gate)
     return HRCorrections(T[0, 0], T[1, 0], gated[0])
 
 
@@ -99,7 +100,7 @@ def hr_interface_terms(W_l: ExtState, W_r: ExtState, cfg, c: PhysConstants,
     if cfg.flux != "roe" and (dx is None or dt is None):
         raise ValueError("omega fluxes need dx and dt")
     F, minus, plus = kernel.hydrostatic(
-        two_cell_rows(W_l, W_r), c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate,
+        two_cell_rows(W_l, W_r), kernel.Constants(c), cfg.source == "modified-hr", cfg.gate,
         kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt))
     zero = np.zeros_like(minus[0])
     return tuple(F[:, 0]), SourceSplit(minus=(zero, minus[0]), plus=(zero, plus[0]))

@@ -6,7 +6,8 @@ bottom, ``upwind`` and ``hydrostatic``, are the only entry points: both
 take rows of cells W = (h, q, H), ``solver.step`` its padded (3, n+2)
 row and the adapters in ``fluxes``, ``sources`` and ``hydrostatic``
 their m interfaces as one (3, 2, m) array of two-cell rows. The cell
-formulas (velocity and physical flux) come from ``swelab.core``.
+formulas (velocity and physical flux) come from ``swelab.core``; the
+``Constants`` and bottom terms they read come from ``solver``'s step plan.
 
 Every flux is one formula, ``interface_flux``, fed with the mean
 physical flux and jump of each interface (``interfaces``) and the
@@ -82,9 +83,9 @@ def check_gate(gate):
         raise ValueError(f"unknown gate policy {gate!r}")
 
 
-def pressure(h, g):
-    """Hydrostatic pressure integral p(h) = g h^2 / 2."""
-    return 0.5 * g * h * h
+def pressure(h, half_g):
+    """Hydrostatic pressure integral p(h) = g h^2 / 2, from ``half_g`` = g/2."""
+    return half_g * h * h
 
 
 def _constant(x):
@@ -97,10 +98,18 @@ def _constant(x):
     return a
 
 
-_HALF, _ONE, _EPS = _constant(0.5), _constant(1.0), _constant(1e-8)
+_ZERO, _HALF, _ONE, _EPS = _constant(0.0), _constant(0.5), _constant(1.0), _constant(1e-8)
 
 
-def wet_pairs(S, h_dry, wet=None):
+class Constants:
+    """``c``'s g, g/2 (= 0.5 * g = g * 0.5) and h_dry as ``_constant`` arrays; h_dry a float."""
+
+    def __init__(self, c):
+        self.h_dry = c.h_dry
+        self.G, self.HALF_G, self.H_DRY = map(_constant, (c.g, 0.5 * c.g, c.h_dry))
+
+
+def wet_pairs(S, k, wet=None):
     """The side states ``S``, (h, q) by (left, right), with the dummy wet
     state (1, 0) on both sides of the interfaces that are not live; the mask
     of the live ones (None when all are); and the flat indices in ``S[0]`` of
@@ -113,9 +122,9 @@ def wet_pairs(S, h_dry, wet=None):
     interface needs too."""
     h = S[0]
     no_mask = wet is None or wet is True
-    if no_mask and all_wet(h, h_dry):
+    if no_mask and all_wet(h, k.h_dry):
         return S, None, []
-    d = h <= h_dry
+    d = h <= k.H_DRY
     dry = d.ravel().nonzero()[0].tolist()
     # an interface is dead where its left and its right side are dry (or no
     # wet cell is beside it), so only if there are dry sides on both
@@ -123,11 +132,11 @@ def wet_pairs(S, h_dry, wet=None):
         return S, None, dry
     dead = d[0] & d[1]
     if wet is None:
-        if dead.all():
+        if dead.item(dead.argmin()):  # all(), read at the argmin
             raise DryInterfaceError("dry interface")
     elif wet is not True:
         dead |= ~wet
-    if not dead.any():
+    if not dead.item(dead.argmax()):  # any(), read at the argmax
         return S, None, dry
     live = ~dead
     d &= live
@@ -136,10 +145,10 @@ def wet_pairs(S, h_dry, wet=None):
 
 
 def _masked(wet, a):
-    return a if wet is None else np.where(wet, a, 0.0)
+    return a if wet is None else np.where(wet, a, _ZERO)
 
 
-def interfaces(L, R, g):
+def interfaces(L, R, k):
     """1/2 (F_l + F_r) as one pair, the jump w_r - w_l and the Roe average
     (u, c) from the cell values (h, q, F0, F1, sqrt(h), sqrt(h) u) on the
     left, L, and on the right, R, of each interface.
@@ -164,41 +173,41 @@ def interfaces(L, R, g):
     u = sul + sur
     u /= sl + sr
     c = hl + hr
-    c *= g * 0.5
+    c *= k.HALF_G
     return mean, D, (u, np.sqrt(c))
 
 
-def sides(S, g, h_dry, wet=None):
+def sides(S, k, wet=None):
     """The ``interfaces`` of the side states ``S``, (h, q) by (left, right),
     dummy where not live (see ``wet_pairs``), and the mask of the live ones;
     one cell pass covers both sides. A dry side's u, and so its sqrt(h) u,
     is zero."""
-    S, live, dry = wet_pairs(S, h_dry, wet)
+    S, live, dry = wet_pairs(S, k, wet)
     h, q = S[0], S[1]
-    u, f0, f1 = cell_flux(h, q, g, h_dry, dry)
+    u, f0, f1 = cell_flux(h, q, k.HALF_G, k.h_dry, dry)
     s = np.sqrt(h)
     u *= s
     cells = (h, q, f0, f1, s, u)
-    return (*interfaces([a[0] for a in cells], [a[1] for a in cells], g), live)
+    return (*interfaces([a[0] for a in cells], [a[1] for a in cells], k), live)
 
 
-def row_sides(W, g, h_dry):
+def row_sides(W, k):
     """``sides`` of the interfaces between consecutive cells of the row
     W = (h, q, ...); when every cell is wet, one cell pass sliced for both
     sides and no mask."""
     h, q = W[0], W[1]
-    if all_wet(h, h_dry):
-        u, _, f1 = wet_cell_flux(h, q, g)
+    if all_wet(h, k.h_dry):
+        u, _, f1 = wet_cell_flux(h, q, k.HALF_G)
         s = np.sqrt(h)
         u *= s
         ql, qr = q[:-1], q[1:]  # q is F0 too
         L = (h[:-1], ql, ql, f1[:-1], s[:-1], u[:-1])
         R = (h[1:], qr, qr, f1[1:], s[1:], u[1:])
-        return (*interfaces(L, R, g), None)
+        return (*interfaces(L, R, k), None)
     S = np.empty((2, 2, *h[1:].shape))
     S[:, 0] = W[:2, :-1]
     S[:, 1] = W[:2, 1:]
-    return sides(S, g, h_dry)
+    return sides(S, k)
 
 
 def roe_decomposition(u, c):
@@ -305,11 +314,11 @@ def interface_flux(mean, v):
     return mean
 
 
-def flux(S, g, h_dry, omega_ab=None, wet=None):
+def flux(S, k, omega_ab=None, wet=None):
     """Roe flux, or an omega flux with ``omega_ab = (a, b)``, of the side
     states ``S`` (see ``sides``), as one pair, zero where not live (see
     ``wet_pairs``)."""
-    mean, D, (u, c), live = sides(S, g, h_dry, wet)
+    mean, D, (u, c), live = sides(S, k, wet)
     v = dissipation(D, linearisation(u, c, omega_ab), omega_ab)
     return _masked(live, interface_flux(mean, v))
 
@@ -368,26 +377,33 @@ def omega_source(terms, dH, a, b):
     return _split(c2, dH, up)
 
 
-def hr_depths(hl, Hl, hr, Hr, out=None):
-    """H* = min(H_l, H_r), the depths (h-, h+) re-measured from H* and
-    clipped at zero, as one pair (``out`` if given), and the large-step
-    flags (a column truncated)."""
-    H_star = np.minimum(Hl, Hr)
+def hr_depths(hl, Hl, hr, Hr, out=None, H_star=None):
+    """H* = min(H_l, H_r) (``H_star`` if given), the depths (h-, h+)
+    re-measured from H* and clipped at zero, as one pair (``out`` if given),
+    and the large-step flags (a column truncated)."""
+    H_star = np.minimum(Hl, Hr) if H_star is None else H_star
     e = np.empty((2, *H_star.shape)) if out is None else out
     el, er = e[0, ...], e[1, ...]
     np.subtract(hl, Hl, el)
     el += H_star
     np.subtract(hr, Hr, er)
     er += H_star
-    truncated = e < 0
-    return H_star, np.maximum(e, 0.0, out=e), truncated[0] | truncated[1]
+    truncated = e < _ZERO
+    return H_star, np.maximum(e, _ZERO, out=e), truncated[0] | truncated[1]
 
 
-def hr_source(h, depths, g):
+def hydrostatic_bottom(H, modified):
+    """H_l, H_r, H* = min(H_l, H_r) and, if ``modified``, the pair (H* - H_l, H_r - H*)."""
+    Hl, Hr = H[:-1], H[1:]
+    H_star = np.minimum(Hl, Hr)
+    return Hl, Hr, H_star, np.array((H_star - Hl, Hr - H_star)) if modified else None
+
+
+def hr_source(h, depths, k):
     """Momentum parts p(h-) - p(h_l) of S- and p(h_r) - p(h+) of S+, as one
     pair, at the interfaces between consecutive cells of the row ``h``, from
     their reconstructed ``depths`` (h-, h+) (see ``hr_depths``)."""
-    p, split = pressure(h, g), pressure(depths, g)
+    p, split = pressure(h, k.HALF_G), pressure(depths, k.HALF_G)
     split[0, ...] -= p[:-1]
     np.subtract(p[1:], split[1, ...], split[1, ...])
     return split
@@ -401,14 +417,14 @@ def gate_threshold(h, u, g, policy):
     ghu = g * h * u
     if policy == "dimensional":
         return 1.5 * np.cbrt(ghu * ghu)
-    return 1.5 * np.sqrt(np.maximum(ghu, 0.0) ** 3)
+    return 1.5 * np.sqrt(np.maximum(ghu, _ZERO) ** 3)
 
 
-def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate,
+def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, dH, k, gate,
                            all_cells_wet=False):
     """(T-, T+) of the modified reconstruction, as one pair, and the gate
     flags, from the outputs ``recon`` of ``hr_depths`` and ``split`` of
-    ``hr_source``.
+    ``hr_source`` and the bottom drops ``dH`` of ``hydrostatic_bottom``.
 
     T turns a side's source into the straight-segment integral over the
     full step. At an emerging bottom (one side dry below the opposite
@@ -417,39 +433,36 @@ def large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, split, g, h_dry, gate,
     no bottom emerges.
     """
     check_gate(gate)
-    H_star, depths, large = recon
-    apply, gated = large, np.zeros_like(large)
+    _, depths, large = recon
+    apply, gated = large, np.zeros(large.shape, bool)
     if not all_cells_wet:
-        emerging_r = (hr <= h_dry) & (hl - Hl + Hr < 0)
-        emerging_l = (hl <= h_dry) & (hr - Hr + Hl < 0)
-        gate_r = emerging_r & (ul > 0) & (
-            0.5 * ul * ul + g * (hl - Hl + Hr) > gate_threshold(hl, ul, g, gate))
-        gate_l = emerging_l & (ur < 0) & (
-            0.5 * ur * ur + g * (hr - Hr + Hl) > gate_threshold(hr, -ur, g, gate))
+        emerging_r = (hr <= k.H_DRY) & (hl - Hl + Hr < _ZERO)
+        emerging_l = (hl <= k.H_DRY) & (hr - Hr + Hl < _ZERO)
+        gate_r = emerging_r & (ul > _ZERO) & (
+            _HALF * ul * ul + k.G * (hl - Hl + Hr) > gate_threshold(hl, ul, k.G, gate))
+        gate_l = emerging_l & (ur < _ZERO) & (
+            _HALF * ur * ur + k.G * (hr - Hr + Hl) > gate_threshold(hr, -ur, k.G, gate))
         gated = gate_r | gate_l
         apply = large & (~(emerging_r | emerging_l) | gated)
     # T- = g/2 (h_l + h-) (H* - H_l) - S-, T+ = g/2 (h_r + h+) (H_r - H*) - S+
-    T, dH = np.empty_like(depths), np.empty_like(depths)
+    T = np.empty_like(depths)
     np.add(hl, depths[0, ...], T[0, ...])
     np.add(hr, depths[1, ...], T[1, ...])
-    T *= g * 0.5
-    np.subtract(H_star, Hl, dH[0, ...])
-    np.subtract(Hr, H_star, dH[1, ...])
+    T *= k.HALF_G
     T *= dH
     T -= split
-    return np.where(apply, T, 0.0), gated
+    return np.where(apply, T, _ZERO), gated
 
 
-def upwind(W, g, h_dry, omega_ab=None):
+def upwind(W, k, omega_ab=None, dH=None):
     """Roe flux with the characteristic source split, or an omega centred
     flux, ``omega_ab = (a, b)``, with its paired source split, over the
-    interfaces between consecutive cells of the row W = (h, q, H)."""
-    mean, D, (u, c), wet = row_sides(W, g, h_dry)
+    interfaces between consecutive cells of the row W = (h, q, H) (dH = H_r - H_l)."""
+    mean, D, (u, c), wet = row_sides(W, k)
     lin = linearisation(u, c, omega_ab)
     F = interface_flux(mean, dissipation(D, lin, omega_ab))
     del D
-    H = W[2]
-    dH = H[1:] - H[:-1]
+    dH = W[2, 1:] - W[2, :-1] if dH is None else dH
     if omega_ab is None:
         minus, plus = roe_source(lin, dH)
     else:
@@ -457,31 +470,34 @@ def upwind(W, g, h_dry, omega_ab=None):
     return _masked(wet, F), _masked(wet, minus), _masked(wet, plus)
 
 
-def hydrostatic(W, g, h_dry, modified, gate, omega_ab=None):
+def hydrostatic(W, k, modified, gate, omega_ab=None, bottom=None):
     """Hydrostatic reconstruction over the Roe flux, or an omega flux with
     ``omega_ab = (a, b)``, over the interfaces between consecutive cells of
     the row W = (h, q, H); ``modified`` adds the large-step corrections.
     The flux is zero unless a side is wet and so is a reconstructed column
     (not, e.g., at rest against a bank; see ``wet_pairs``), the sources
     unless a side is. The sources are the momentum parts of S- and S+ alone:
-    they have no mass part. Whether every cell is wet is decided once."""
-    h, q, H = W[0], W[1], W[2]
-    if all_wet(h, h_dry):
+    they have no mass part. Whether every cell is wet is decided once, and
+    the ``hydrostatic_bottom`` of H only if not given as ``bottom``."""
+    h, q = W[0], W[1]
+    if all_wet(h, k.h_dry):
         wet, u = True, q / h
     else:
-        wet, u = (h[:-1] > h_dry) | (h[1:] > h_dry), cell_velocity(h, q, h_dry)
-    hl, ul, Hl, hr, ur, Hr = h[:-1], u[:-1], H[:-1], h[1:], u[1:], H[1:]
-    S = np.empty((2, 2, *np.shape(hl)))  # the reconstructed columns, see ``sides``
+        wet, u = (h[:-1] > k.H_DRY) | (h[1:] > k.H_DRY), cell_velocity(h, q, k.H_DRY)
+    hl, ul, hr, ur = h[:-1], u[:-1], h[1:], u[1:]
+    Hl, Hr, H_star, dH = bottom or hydrostatic_bottom(W[2], modified)
+    S = np.empty((2, 2, *hl.shape))  # the reconstructed columns, see ``sides``
     depths = S[0]
-    recon = hr_depths(hl, Hl, hr, Hr, out=depths)
-    sources = hr_source(h, depths, g)
-    if modified and recon[2].any():
-        sources += large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, sources, g, h_dry,
-                                          gate, all_cells_wet=wet is True)[0]
+    recon = hr_depths(hl, Hl, hr, Hr, out=depths, H_star=H_star)
+    sources = hr_source(h, depths, k)
+    large = recon[2]
+    if modified and large.item(large.argmax()):  # any(), read at the argmax
+        sources += large_step_corrections(hl, ul, Hl, hr, ur, Hr, recon, sources, dH, k, gate,
+                                          all_cells_wet=wet is True)[0]
     del recon
     np.multiply(depths[0], ul, out=S[1, 0, ...])
     np.multiply(depths[1], ur, out=S[1, 1, ...])
-    F = flux(S, g, h_dry, omega_ab, wet)
+    F = flux(S, k, omega_ab, wet)
     if wet is not True:
         sources = _masked(wet, sources)
     return F, sources[0], sources[1]

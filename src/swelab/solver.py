@@ -8,13 +8,14 @@ One explicit step reads
 for any combination of homogeneous flux and source treatment. All
 interface terms are computed from time-n data only, vectorized over the
 interfaces of a ghost-padded array, by the plain-array formulas of
-``swelab.kernel``.
+``swelab.kernel``. What a run never changes is a ``StepPlan``, made on
+its first step and carried on each ``SimState`` it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "SimSpec",
     "SimState",
     "StepInfo",
+    "StepPlan",
     "RunReport",
     "cfl_dt",
     "apply_boundaries",
@@ -196,12 +198,13 @@ class SimSpec:
 
 @dataclass
 class SimState:
-    """Cell-averaged state at one time level; H is fixed after setup."""
+    """Cell-averaged state at one time level; H is fixed after setup (a step freezes it)."""
 
     t: float
     h: np.ndarray
     q: np.ndarray
     H: np.ndarray
+    plan: StepPlan | None = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "SimState":
         return SimState(self.t, self.h.copy(), self.q.copy(), self.H.copy())
@@ -218,6 +221,7 @@ class StepInfo:
     ghosts: tuple  # (h, q, H) of the left and of the right ghost cell
     left_flux: tuple  # one-sided flux F- seen by the left ghost
     right_flux: tuple  # one-sided flux F+ seen by the right ghost
+    clip_mass: float = 0.0  # dx sum max(-h, 0): the water the clip added
 
 
 @dataclass
@@ -235,6 +239,7 @@ class RunReport:
     clip_events: int
     minor_clip_events: int
     stop_reason: str  # 'steady' | 'final_time' | 'max_time' | 'max_steps'
+    clip_mass: float = 0.0  # the water all clips added, see ``StepInfo``
     entropy_production: np.ndarray | None = None
 
     @property
@@ -250,10 +255,12 @@ class RunReport:
         d = dict(self.metadata)
         d.update(
             steady_reached=self.steady_reached,
+            stop_reason=self.stop_reason,
             final_time=float(self.final_time),
             n_steps=int(self.n_steps),
             clip_events=int(self.clip_events),
             minor_clip_events=int(self.minor_clip_events),
+            clip_mass=float(self.clip_mass),
             final_residual=self.final_residual,
             probes={k: {kk: float(vv) for kk, vv in v.items()} for k, v in self.probes.items()},
         )
@@ -265,50 +272,81 @@ def cfl_dt(state: SimState, cfg: SchemeConfig, grid: Grid, c: PhysConstants) -> 
     h, q = state.h, state.q
     if not all_wet(h, c.h_dry):
         wet = h > c.h_dry
-        if not wet.any():
+        if not wet.item(wet.argmax()):  # any(), read at the argmax
             raise DryStateError("all cells dry, no wave speed")
         h, q = h[wet], q[wet]
+    g = c.g if state.plan is None or state.plan.inputs[-1] is not c else state.plan.k.G
     s = np.abs(q)
     s /= h
-    celerity = c.g * h
+    celerity = g * h
     s += np.sqrt(celerity, out=celerity)
-    smax = s.max()
+    smax = s.item(s.argmax())  # s >= +0, and a NaN is its own argmax
     if smax <= 0:
         raise SWEError("zero wave speed")
     return cfg.cfl * grid.dx / smax
 
 
+def _ghost_rule(H: np.ndarray, bc_left: BoundaryCondition, bc_right: BoundaryCondition):
+    """The padded bottom row, then for each ghost the end cell it copies, the h and q it
+    imposes instead (None to copy) and its H. Periodicity needs both sides periodic."""
+    if bc_left.periodic != bc_right.periodic:
+        raise ValueError("a periodic boundary needs a periodic boundary on the other side")
+    ends = [(i, bc.h, bc.q, H[i]) for bc, i in
+            ((bc_left, -1 if bc_left.periodic else 0), (bc_right, 0 if bc_right.periodic else -1))]
+    return np.concatenate(([ends[0][3]], H, [ends[1][3]])), *ends
+
+
 def apply_boundaries(state: SimState, bc_left: BoundaryCondition,
-                     bc_right: BoundaryCondition):
+                     bc_right: BoundaryCondition, rule=None):
     """One (3, n+2) array of the rows (h, q, H) with one ghost cell on each
     side, and each ghost's (h, q, H), left then right. A ghost takes its
     boundary's given values and the rest, H included, from the near end cell
-    (the far one if periodic). Periodicity needs both sides periodic."""
-    if bc_left.periodic != bc_right.periodic:
-        raise ValueError("a periodic boundary needs a periodic boundary on the other side")
-    ghosts = []
-    for bc, near, far in ((bc_left, 0, -1), (bc_right, -1, 0)):
-        i = far if bc.periodic else near
-        ghosts.append((state.h[i] if bc.h is None else bc.h,
-                       state.q[i] if bc.q is None else bc.q, state.H[i]))
-    W = np.empty((3, len(state.h) + 2))
-    W[0, 1:-1] = state.h
-    W[1, 1:-1] = state.q
-    W[2, 1:-1] = state.H
-    (W[0, 0], W[1, 0], W[2, 0]), (W[0, -1], W[1, -1], W[2, -1]) = ghosts  # scalar stores
-    return W, ghosts
+    (the far one if periodic), by the ``_ghost_rule`` ``rule`` if given."""
+    Hp, (il, hl, ql, Hl), (ir, hr, qr, Hr) = rule or _ghost_rule(state.H, bc_left, bc_right)
+    h, q = state.h, state.q
+    left = (h[il] if hl is None else hl, q[il] if ql is None else ql, Hl)
+    right = (h[ir] if hr is None else hr, q[ir] if qr is None else qr, Hr)
+    W = np.empty((3, len(h) + 2))
+    W[0, 1:-1] = h
+    W[1, 1:-1] = q
+    W[2] = Hp
+    W[0, 0], W[1, 0], W[0, -1], W[1, -1] = left[0], left[1], right[0], right[1]  # scalar stores
+    return W, (left, right)
 
 
-def interface_terms(W: np.ndarray, cfg: SchemeConfig, dx: float, dt: float,
-                    c: PhysConstants):
-    """F, S-, S+ over the interfaces of the padded row W = (h, q, H), which
-    ``kernel``'s two scheme functions both take: F is a (2, m) pair, and so
-    are the sources of the upwind schemes; the hydrostatic sources are
-    momentum rows alone. Dry/dry interfaces carry zeros."""
-    omega_ab = kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt)
-    if cfg.source == "upwind":
-        return kernel.upwind(W, c.g, c.h_dry, omega_ab)
-    return kernel.hydrostatic(W, c.g, c.h_dry, cfg.source == "modified-hr", cfg.gate, omega_ab)
+def interface_terms(W: np.ndarray, plan: StepPlan, dt: float):
+    """F, S-, S+ over the interfaces of the padded row W = (h, q, H) by the
+    ``plan``'s kernel scheme function, with the step's omega weights: F is a
+    (2, m) pair, and so are the sources of the upwind schemes; the
+    hydrostatic sources are momentum rows alone. Dry/dry interfaces carry zeros."""
+    if plan.omega_ab is not None:
+        a, b = plan.omega_ab
+        a[()], b[()] = kernel.omega_coefficients(plan.omega, plan.dx, dt)
+    return plan.scheme(W, *plan.args)
+
+
+class StepPlan:
+    """What a run's steps read that it never changes, made from the ``inputs`` (grid, H,
+    boundaries, scheme, constants), and the 0-d arrays a step writes dt/dx and omega into."""
+
+    def __init__(self, grid, H, bc_left, bc_right, cfg, c):
+        self.inputs = (grid, H, bc_left, bc_right, cfg, c)
+        H.flags.writeable = False  # an edit would leave the bottom terms stale
+        self.dx, self.k, self.r = grid.dx, kernel.Constants(c), np.empty(())
+        self.ghosts = _ghost_rule(H, bc_left, bc_right)
+        self.omega = None if cfg.flux == "roe" else kernel.OMEGA_RULES[cfg.flux](cfg.cfl)
+        self.omega_ab = None if self.omega is None else (np.empty(()), np.empty(()))
+        Hp, k, ab = self.ghosts[0], self.k, self.omega_ab
+        if cfg.source == "upwind":
+            self.scheme, self.args = kernel.upwind, (k, ab, Hp[1:] - Hp[:-1])
+        else:
+            modified = cfg.source == "modified-hr"
+            self.scheme = kernel.hydrostatic
+            self.args = k, modified, cfg.gate, ab, kernel.hydrostatic_bottom(Hp, modified)
+
+    def made_from(self, grid, H, left, right, cfg, c) -> bool:
+        g0, H0, l0, r0, cfg0, c0 = self.inputs
+        return g0 is grid and H0 is H and l0 is left and r0 is right and cfg0 is cfg and c0 is c
 
 
 def step(state: SimState, cfg: SchemeConfig, grid: Grid,
@@ -317,16 +355,21 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
     """One assembled explicit update over all interfaces, ghosts included.
 
     Depths that undershoot zero are clipped (counted as a minor event
-    below h_dry, a clip event beyond); cells at or below h_dry carry no
-    momentum. Raises on a ``dt`` that is not finite and positive, and on
-    non-finite values, naming the first bad cell.
+    below h_dry, a clip event beyond, the water added as ``clip_mass``);
+    cells at or below h_dry carry no momentum. Raises on a ``dt`` that is
+    not finite and positive, and on non-finite values, naming the first bad
+    cell. The new state carries the state's ``StepPlan``, or a new one if
+    that was not made from these very arguments.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    W, ghosts = apply_boundaries(state, bc_left, bc_right)
-    dx = grid.dx
-    F, Sm, Sp = interface_terms(W, cfg, dx, dt, c)
-    r = dt / dx
+    plan = state.plan
+    if plan is None or not plan.made_from(grid, state.H, bc_left, bc_right, cfg, c):
+        plan = StepPlan(grid, state.H, bc_left, bc_right, cfg, c)
+    W, ghosts = apply_boundaries(state, bc_left, bc_right, plan.ghosts)
+    F, Sm, Sp = interface_terms(W, plan, dt)
+    r = plan.r
+    r[()] = dt / plan.dx
     w = W[:2, 1:-1]  # (h, q) at time n
     Wn = F[:, 1:] - F[:, :-1]
     Wn *= r
@@ -345,14 +388,16 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
         if not finite.all():
             bad = int(np.argmax(~finite))
             raise SWEError(f"non-finite state in cell {bad} at t = {state.t + dt}")
-    min_h = float(h.min())
-    clips = minor = 0
+    min_h = h.item(h.argmin()) or float(h.min())  # min() only for the sign of a zero
+    clips = minor = clip_mass = 0
     if min_h < 0:
-        clips = int(np.count_nonzero(h < -c.h_dry))
-        minor = int(np.count_nonzero(h < 0)) - clips
-        np.maximum(h, 0.0, out=h)
+        low = np.minimum(h, kernel._ZERO)  # h where it undershoots zero, else 0
+        clips = int(np.count_nonzero(low < -c.h_dry))
+        minor = int(np.count_nonzero(low)) - clips
+        clip_mass = -plan.dx * float(low.sum())
+        np.maximum(h, kernel._ZERO, out=h)
     if min_h <= c.h_dry:  # else every cell is wet
-        q[h <= c.h_dry] = 0.0
+        q[h <= plan.k.H_DRY] = 0.0
     change = Wn - w
     l1 = np.abs(change, out=change).sum(axis=1)
     sm, sp = (Sm[:, 0], Sp[:, -1]) if Sm.ndim == 2 else ((0.0, Sm[0]), (0.0, Sp[-1]))
@@ -360,17 +405,10 @@ def step(state: SimState, cfg: SchemeConfig, grid: Grid,
     # the copy then lies above them on the heap, so their release returns no
     # pages to the system for the next step to fault in again
     Wn = Wn.copy()
-    h, q = Wn[0], Wn[1]
-    info = StepInfo(
-        clip_events=clips,
-        minor_clip_events=minor,
-        min_h_pre_clip=min_h,
-        update_l1=l1[0] + l1[1],
-        ghosts=tuple(ghosts),
-        left_flux=(F[0, 0] - sm[0], F[1, 0] - sm[1]),
-        right_flux=(F[0, -1] + sp[0], F[1, -1] + sp[1]),
-    )
-    return SimState(state.t + dt, h, q, state.H), info
+    info = StepInfo(clips, minor, min_h, l1.item(0) + l1.item(1), ghosts,
+                    (F[0, 0] - sm[0], F[1, 0] - sm[1]), (F[0, -1] + sp[0], F[1, -1] + sp[1]),
+                    clip_mass)
+    return SimState(state.t + dt, Wn[0], Wn[1], state.H, plan), info
 
 
 def initial_state(spec: SimSpec, c: PhysConstants) -> SimState:
@@ -403,7 +441,7 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
     stop = spec.stop
     bound = stop.time_bound()
     entropy = [] if track_entropy else None
-    clips = minor = 0
+    clips = minor = clip_mass = 0
     residual0 = res = None
     n_steps = 0
     if track_entropy:
@@ -428,6 +466,7 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         n_steps += 1
         clips += info.clip_events
         minor += info.minor_clip_events
+        clip_mass += info.clip_mass
         res = float(info.update_l1 * dx / dt)
         if residual0 is None:
             residual0 = res
@@ -452,5 +491,6 @@ def run(spec: SimSpec, cfg: SchemeConfig, c: PhysConstants = PhysConstants(),
         clip_events=clips,
         minor_clip_events=minor,
         stop_reason=stop_reason,
+        clip_mass=clip_mass,
         entropy_production=np.asarray(entropy) if entropy is not None else None,
     )

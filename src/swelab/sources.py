@@ -53,7 +53,7 @@ class SourceSplit:
 def roe_source_split(W_l: ExtState, W_r: ExtState, c: PhysConstants) -> SourceSplit:
     """Characteristic splitting S+- = 1/2 (Id +- |J| J^-1) (0, c^2) dH: all
     downstream when supersonic, eigenvalue signs floored at sonic points."""
-    _, minus, plus = kernel.upwind(two_cell_rows(W_l, W_r), c.g, c.h_dry)
+    _, minus, plus = kernel.upwind(two_cell_rows(W_l, W_r), kernel.Constants(c))
     return SourceSplit(minus=tuple(minus[:, 0]), plus=tuple(plus[:, 0]))
 
 
@@ -61,7 +61,7 @@ def omega_source_split(W_l: ExtState, W_r: ExtState, omega: float, dx: float, dt
                        c: PhysConstants) -> SourceSplit:
     """S+- = 1/2 [(0, c^2 dH) +- ((1-omega) dx/dt (J*)^-1 + omega dt/dx J) (0, c^2 dH)]."""
     omega_ab = kernel.omega_coefficients(omega, dx, dt)
-    _, minus, plus = kernel.upwind(two_cell_rows(W_l, W_r), c.g, c.h_dry, omega_ab)
+    _, minus, plus = kernel.upwind(two_cell_rows(W_l, W_r), kernel.Constants(c), omega_ab)
     return SourceSplit(minus=tuple(minus[:, 0]), plus=tuple(plus[:, 0]))
 
 

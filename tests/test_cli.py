@@ -246,7 +246,8 @@ def test_run_prints_why_it_stopped(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "steady=False stop=max_time " in out
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert "stop_reason" not in summary["metadata"]
+    assert summary["metadata"]["stop_reason"] == "max_time"
+    assert summary["metadata"]["clip_mass"] > 0  # the run clips 118 times
 
 
 def test_run_until_steady_exits_1_when_the_run_is_not_steady(tmp_path, capsys):

@@ -58,18 +58,18 @@ def test_cell_quantities_match_core_bitwise(seed):
         u_flux = np.where(full, qq / np.where(full, hh, 1.0), 0.0)
         f0, f1 = qq * full, qq * u_flux + 0.5 * c.g * hh * hh
         same(core.cell_velocity(hh, qq, c.h_dry), u)
-        same(np.stack(core.cell_flux(hh, qq, c.g, c.h_dry)), np.stack([u, f0, f1]))
+        same(np.stack(core.cell_flux(hh, qq, 0.5 * c.g, c.h_dry)), np.stack([u, f0, f1]))
         w = PhysState(hh, qq)
         same(velocity(w, c), u)
         same(np.stack(physical_flux(w, c)), np.stack([f0, f1]))
 
 
 def test_negative_depth_and_all_dry_raise():
-    c = PhysConstants()
+    k = kernel.Constants(PhysConstants())
     with pytest.raises(ValueError):  # (h, q) by (left, right) on one interface
-        kernel.flux(np.array([[[-0.1], [0.5]], [[0.0], [0.0]]]), c.g, c.h_dry)
+        kernel.flux(np.array([[[-0.1], [0.5]], [[0.0], [0.0]]]), k)
     with pytest.raises(DryInterfaceError):
-        kernel.flux(np.zeros((2, 2, 3)), c.g, c.h_dry)
+        kernel.flux(np.zeros((2, 2, 3)), k)
 
 
 @pytest.mark.parametrize("modified", [False, True])
@@ -81,7 +81,7 @@ def test_hydrostatic_zeroes_the_flux_of_a_damp_reconstructed_pair(modified):
     hl = W[0, 0]
     hm = hl - W[2, 0] + W[2, 1]
     assert 0 < hm <= c.h_dry
-    F, minus, plus = kernel.hydrostatic(W, c.g, c.h_dry, modified, "dimensional")
+    F, minus, plus = kernel.hydrostatic(W, kernel.Constants(c), modified, "dimensional")
     assert F.tolist() == [[0.0], [0.0]]
     assert minus.shape == plus.shape == (1,)  # momentum rows alone: no mass part
     assert minus[0] == pytest.approx(0.5 * c.g * (hm ** 2 - hl ** 2), rel=1e-12)
@@ -111,7 +111,7 @@ def test_adapters_equal_the_kernel(seed):
             (roe_source_split(Wl, Wr, c), roe_flux(Wl.state, Wr.state, c), None),
             (omega_source_split(Wl, Wr, omega, dx, dt, c),
              omega_flux(Wl.state, Wr.state, omega, dx, dt, c), omega_ab)):
-        F, minus, plus = kernel.upwind(W, c.g, c.h_dry, ab)
+        F, minus, plus = kernel.upwind(W, kernel.Constants(c), ab)
         same(flux, F)
         same(split.minus, minus)
         same(split.plus, plus)
@@ -119,7 +119,7 @@ def test_adapters_equal_the_kernel(seed):
     for scheme in ("hr", "modified-hr", "force-hr"):
         cfg = SchemeConfig.from_id(scheme)
         ab = kernel.omega_weights(cfg.flux, cfg.cfl, dx, dt)
-        F, minus, plus = kernel.hydrostatic(W, c.g, c.h_dry, scheme == "modified-hr",
+        F, minus, plus = kernel.hydrostatic(W, kernel.Constants(c), scheme == "modified-hr",
                                             cfg.gate, ab)
         flux, split = hr_interface_terms(Wl, Wr, cfg, c, dx, dt)
         same(flux, F)

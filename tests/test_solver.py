@@ -269,6 +269,106 @@ def test_step_update_l1_is_the_two_row_sums(scheme):
         state = after
 
 
+IMPLEMENTED = [s for s, e in SCHEMES.items() if e["implemented"]]
+# (left, right) boundaries covering every kind: open, discharge, depth, both, periodic
+BOUNDARY_PAIRS = [
+    (BoundaryCondition(), BoundaryCondition(h=0.3)),
+    (BoundaryCondition(q=0.2), BoundaryCondition(h=0.25, q=0.1)),
+    (BoundaryCondition(periodic=True), BoundaryCondition(periodic=True)),
+]
+
+
+def _mixed_rows(seed, n=30):
+    """Wet, damp and empty cells over a bottom with a large step: the empty
+    cells sit on the high side of the step, beside wet cells below it."""
+    r = np.random.default_rng(seed)
+    H = np.where(np.arange(n) < n // 2, 0.6, 0.2) + r.uniform(-0.01, 0.01, n)
+    h = r.uniform(0.05, 0.4, n)
+    h[n // 2: n // 2 + 4] = 0.0
+    h[n // 2 + 4] = 0.5e-8
+    q = np.where(h > 1e-8, h * r.uniform(-1.0, 1.0, n), 0.0)
+    return h, q, H
+
+
+def _step_vector(dt, state, info):
+    """Everything a step returns, as one float array."""
+    return np.concatenate([
+        [dt, info.clip_events, info.minor_clip_events, info.min_h_pre_clip, info.update_l1,
+         info.clip_mass, *info.left_flux, *info.right_flux, *info.ghosts[0], *info.ghosts[1]],
+        state.h, state.q])
+
+
+@pytest.mark.parametrize("gate", ["dimensional", "as-printed"])
+@pytest.mark.parametrize("scheme", IMPLEMENTED)
+def test_a_carried_plan_steps_as_a_fresh_one(scheme, gate):
+    """Stepping with the plan the state carries gives the bytes of stepping
+    a plan-less state rebuilt before every step, signed zeros included, for
+    every boundary kind; the carried plan is the one the first step made."""
+    c = PhysConstants()
+    cfg = SchemeConfig.from_id(scheme, gate=gate)
+    grid = Grid(0.0, 1.0, 30)
+    for seed, (bc_left, bc_right) in enumerate(BOUNDARY_PAIRS):
+        carried = fresh = SimState(0.0, *_mixed_rows(seed))
+        plan = None
+        for _ in range(20):
+            dt = cfl_dt(carried, cfg, grid, c)
+            carried, info = step(carried, cfg, grid, bc_left, bc_right, dt, c)
+            fresh = SimState(fresh.t, fresh.h, fresh.q, fresh.H)
+            dt_fresh = cfl_dt(fresh, cfg, grid, c)
+            fresh, info_fresh = step(fresh, cfg, grid, bc_left, bc_right, dt_fresh, c)
+            want = _step_vector(dt_fresh, fresh, info_fresh)
+            assert _step_vector(dt, carried, info).tobytes() == want.tobytes(), (seed, bc_left)
+            plan = plan or carried.plan
+            assert carried.plan is plan
+        assert carried.copy().plan is None
+
+
+def test_a_plan_serves_only_the_objects_it_was_made_from():
+    """A state stepped with another configuration, boundary, grid or
+    constants, even an equal one, gets a new plan, and the step's result is
+    that of a plan-less state."""
+    c = PhysConstants()
+    cfg = SchemeConfig.from_id("modified-hr")
+    grid = Grid(0.0, 1.0, 30)
+    bc_left, bc_right = BOUNDARY_PAIRS[0]
+    start = SimState(0.0, *_mixed_rows(7))
+    state, _ = step(start, cfg, grid, bc_left, bc_right, 1e-3, c)
+    plan = state.plan
+    assert plan.made_from(grid, state.H, bc_left, bc_right, cfg, c)
+    others = [
+        (SchemeConfig.from_id("force-hr"), grid, bc_left, bc_right, c),
+        (SchemeConfig.from_id("modified-hr"), grid, bc_left, bc_right, c),
+        (cfg, Grid(0.0, 2.0, 30), bc_left, bc_right, c),
+        (cfg, grid, BoundaryCondition(q=0.2), bc_right, c),
+        (cfg, grid, bc_left, BoundaryCondition(h=0.3), c),
+        (cfg, grid, bc_left, bc_right, PhysConstants(g=9.8)),
+    ]
+    for other_cfg, other_grid, left, right, other_c in others:
+        after, info = step(state, other_cfg, other_grid, left, right, 1e-3, other_c)
+        assert after.plan is not plan
+        assert after.plan.made_from(other_grid, state.H, left, right, other_cfg, other_c)
+        bare = SimState(state.t, state.h, state.q, state.H)
+        want, want_info = step(bare, other_cfg, other_grid, left, right, 1e-3, other_c)
+        assert (_step_vector(1e-3, after, info).tobytes()
+                == _step_vector(1e-3, want, want_info).tobytes())
+    moved = SimState(state.t, state.h, state.q, state.H.copy(), plan)  # another bottom array
+    assert step(moved, cfg, grid, bc_left, bc_right, 1e-3, c)[0].plan is not plan
+    assert step(state, cfg, grid, bc_left, bc_right, 1e-3, c)[0].plan is plan
+
+
+def test_a_step_freezes_the_bottom_its_plan_was_made_from():
+    """The plan holds terms of H, so an edit of H after a step raises rather
+    than leaving them stale; a copy of the state has its own, writable H."""
+    c = PhysConstants()
+    start = SimState(0.0, *_mixed_rows(3))
+    state, _ = step(start, SchemeConfig.from_id("hr"), Grid(0.0, 1.0, 30), *BOUNDARY_PAIRS[0],
+                    1e-3, c)
+    assert state.H is start.H
+    with pytest.raises(ValueError, match="read-only"):
+        state.H[0] = 1.0
+    state.copy().H[0] = 1.0
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_hr_lax_friedrichs_positivity(seed):

@@ -8,13 +8,14 @@ For each scheme and grid below, a fresh worker process runs
 max_steps=N)``) and keeps the fastest of ``--repeats`` runs after one
 untimed warm-up: the time of run()'s loop (``cfl_dt``, ``step`` and the
 residual) divided by N, plus the set-up of one run, which is small next
-to N steps. One process per case keeps a case's timing free of the heap
-left behind by the cases before it. Each pair runs every case once per
+to N steps, and the minor page faults per step of that fastest run
+(``resource.getrusage``). One process per case keeps a case's timing free
+of the heap left behind by the cases before it. Each pair runs every case once per
 tree, with ``PYTHONPATH`` set to that tree's ``src``, and alternates
 which tree goes first. The JSON records the machine, both commits, the
-median over pairs of each tree's microseconds per step and nanoseconds
-per cell-step, the ratio parent/change and the number of pairs the
-change won.
+median over pairs of each tree's microseconds per step, nanoseconds
+per cell-step and minor faults per step, the ratio parent/change and the
+number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ def n_steps(cells: int) -> int:
     return max(30, 160_000 // cells)
 
 
-def worker(case: str, repeats: int) -> float:
-    """Microseconds per step of ``run()`` on one case, ``scheme/cells``."""
+def worker(case: str, repeats: int) -> tuple:
+    """Microseconds and minor page faults per step of the fastest ``run()``
+    on one case, ``scheme/cells``."""
+    from resource import RUSAGE_SELF, getrusage
     from time import perf_counter
 
     from swelab.presets import build_preset
@@ -54,13 +57,16 @@ def worker(case: str, repeats: int) -> float:
     spec = build_preset(dict(CASES)[scheme], n_cells=cells)
     spec.stop = StopRule(final_time=1e6, max_steps=n_steps(cells))
     run(spec, cfg)  # warm-up
-    best = float("inf")
+    best, faults = float("inf"), 0
     for _ in range(repeats):
+        f0 = getrusage(RUSAGE_SELF).ru_minflt
         t0 = perf_counter()
         report = run(spec, cfg)
-        best = min(best, perf_counter() - t0)
+        t1 = perf_counter()
+        if t1 - t0 < best:
+            best, faults = t1 - t0, getrusage(RUSAGE_SELF).ru_minflt - f0
     assert report.n_steps == n_steps(cells), (case, report.stop_reason)
-    return best / report.n_steps * 1e6
+    return best / report.n_steps * 1e6, faults / report.n_steps
 
 
 def _commit(tree: Path) -> str:
@@ -74,12 +80,13 @@ def _commit(tree: Path) -> str:
     return rev + ("+uncommitted src" if dirty else "")
 
 
-def _trial(tree: Path, case: str, repeats: int) -> float:
+def _trial(tree: Path, case: str, repeats: int) -> tuple:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker", case,
                            "--repeats", str(repeats)],
                           env=env, capture_output=True, text=True, check=True)
-    return float(proc.stdout.strip().splitlines()[-1])
+    us, faults = proc.stdout.strip().splitlines()[-1].split()
+    return float(us), float(faults)
 
 
 def _machine() -> dict:
@@ -107,7 +114,7 @@ def main(argv=None) -> int:
     ap.add_argument("--worker", metavar="CASE", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        print(worker(args.worker, args.repeats))
+        print(*worker(args.worker, args.repeats))
         return 0
     if args.parent is None:
         ap.error("--parent is required")
@@ -123,13 +130,15 @@ def main(argv=None) -> int:
     rows = {}
     for key in cases:
         scheme, cells = key.split("/")
-        p, c = runs["parent"][key], runs["change"][key]
+        (p, pf), (c, cf) = (zip(*runs[side][key]) for side in ("parent", "change"))
         pm, cm = statistics.median(p), statistics.median(c)
         rows[key] = dict(
             scheme=scheme, cells=int(cells), steps=n_steps(int(cells)),
             parent_us_per_step=round(pm, 2), change_us_per_step=round(cm, 2),
             parent_ns_per_cell_step=round(pm * 1e3 / int(cells), 2),
             change_ns_per_cell_step=round(cm * 1e3 / int(cells), 2),
+            parent_faults_per_step=round(statistics.median(pf), 2),
+            change_faults_per_step=round(statistics.median(cf), 2),
             speedup=round(pm / cm, 3),
             pairs_won=sum(ci < pi for pi, ci in zip(p, c)), pairs=len(p),
         )
@@ -146,7 +155,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["cases"].items():
         print(f"{key:20s} {row['parent_us_per_step']:10.1f} -> {row['change_us_per_step']:10.1f} us"
-              f"  x{row['speedup']:.3f}  won {row['pairs_won']}/{row['pairs']}")
+              f"  x{row['speedup']:.3f}  won {row['pairs_won']}/{row['pairs']}"
+              f"  faults/step {row['parent_faults_per_step']} -> {row['change_faults_per_step']}")
     return 0
 
 
